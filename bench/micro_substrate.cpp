@@ -58,33 +58,9 @@ BENCHMARK(BM_CacheAccess)
     ->Arg(static_cast<int>(uarch::ReplacementPolicy::Fifo))
     ->Arg(static_cast<int>(uarch::ReplacementPolicy::Random));
 
-void
-BM_BranchPredictor(benchmark::State &state)
-{
-    auto predictor = uarch::makePredictor(
-        static_cast<uarch::PredictorKind>(state.range(0)), 12);
-    stats::Rng rng(11);
-    std::uint32_t id = 0;
-    for (auto _ : state) {
-        bool taken = rng.bernoulli(0.6);
-        benchmark::DoNotOptimize(predictor->predict(0, id));
-        predictor->update(0, id, taken);
-        id = (id + 1) & 255;
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_BranchPredictor)
-    ->Arg(static_cast<int>(uarch::PredictorKind::Bimodal))
-    ->Arg(static_cast<int>(uarch::PredictorKind::Gshare))
-    ->Arg(static_cast<int>(uarch::PredictorKind::Tournament))
-    ->Arg(static_cast<int>(uarch::PredictorKind::Perceptron))
-    ->Arg(static_cast<int>(uarch::PredictorKind::TageLite));
-
 /**
- * Same workload through the variant (devirtualized) dispatch path the
- * playback loop uses; the delta against BM_BranchPredictor is the
- * virtual-call overhead removed from the hot loop.
+ * Predictor throughput through the variant dispatch the playback loop
+ * uses: one std::visit, then direct calls on the concrete type.
  */
 void
 BM_BranchPredictorVariant(benchmark::State &state)

@@ -671,13 +671,6 @@ CampaignStore::entryPath(const StoreKey &key) const
            fingerprintHex(key.fingerprint) + kStoreEntrySuffix;
 }
 
-std::string
-CampaignStore::legacyEntryPath(const StoreKey &key) const
-{
-    return directory_ + "/" + fingerprintHex(key.fingerprint) +
-           kStoreEntrySuffix;
-}
-
 std::unique_lock<std::mutex>
 CampaignStore::lockShard(const Shard &shard) const
 {
@@ -815,15 +808,8 @@ CampaignStore::load(const StoreKey &key, uarch::SimulationResult &out)
 
     std::string bytes;
     std::string path = entryPath(key);
-    bool readable = readFile(path, bytes);
-    if (!readable) {
-        // Pre-shard stores keep entries flat in the root.
-        path = legacyEntryPath(key);
-        readable = readFile(path, bytes);
-    }
-
     StoreStatus status;
-    if (!readable) {
+    if (!readFile(path, bytes)) {
         status = StoreStatus::Miss;
     } else {
         StoreInstruments::get().bytes_read.add(bytes.size());
@@ -842,12 +828,8 @@ CampaignStore::loadPhased(const StoreKey &key,
 {
     obs::Span span(StoreInstruments::get().load_time);
     std::string bytes;
-    bool readable = readFile(entryPath(key), bytes);
-    if (!readable)
-        readable = readFile(legacyEntryPath(key), bytes);
-
     StoreStatus status;
-    if (!readable) {
+    if (!readFile(entryPath(key), bytes)) {
         status = StoreStatus::Miss;
     } else {
         StoreInstruments::get().bytes_read.add(bytes.size());

@@ -47,11 +47,12 @@
  * `<store>/shard-<hex>/<16-hex>.slart`.  Each shard has its own mutex
  * and its own bounded LRU of deserialized pair results, so concurrent
  * requests against a shared store handle (the `speclens serve` daemon)
- * only contend when they touch the same shard.  Stores written before
- * sharding kept every entry in the store root; load() falls back to
- * that flat path on a shard miss, so pre-shard stores stay warm.  The
- * SL025 lint rule audits the layout (a misfiled entry is an error, a
- * legacy root-level entry a warning).
+ * only contend when they touch the same shard.  Loads look in the
+ * fingerprint's shard only: an entry anywhere else — including the
+ * store root, where stores written before sharding kept every entry —
+ * is unreachable and recomputed on demand (the store is a cache, so
+ * results are identical).  The SL025 lint rule reports every such
+ * misfiled entry as an error; `campaign invalidate` removes them.
  *
  * Thread safety: load/save/counters may be called concurrently (the
  * Characterizer's workers do).  Distinct keys touch distinct files;
@@ -349,13 +350,6 @@ class CampaignStore
 
     /** Sharded entry file path for @p key (diagnostics and tests). */
     std::string entryPath(const StoreKey &key) const;
-
-    /**
-     * Pre-shard flat path of @p key (`<store>/<hex>.slart`): where a
-     * store written before sharding keeps the entry.  load() falls
-     * back to it on a shard miss.
-     */
-    std::string legacyEntryPath(const StoreKey &key) const;
 
   private:
     /** One shard: its own lock and its slice of the result LRU. */

@@ -5,46 +5,14 @@
 
 #include "linter.h"
 
-#include <cstdio>
 #include <sstream>
 #include <stdexcept>
 
 #include "lint/rules.h"
+#include "obs/json.h"
 
 namespace speclens {
 namespace lint {
-
-namespace {
-
-/** JSON string escaping for the report renderer. */
-std::string
-jsonEscape(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size() + 2);
-    for (char c : text) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-} // namespace
 
 ReportFormat
 reportFormatFromName(const std::string &name)
@@ -110,12 +78,12 @@ renderJson(const LintReport &report, Severity min_severity)
     for (const Diagnostic &d : report.diagnostics) {
         if (d.severity < min_severity)
             continue;
-        out << (first ? "" : ",") << "\n    {\"code\": \""
-            << jsonEscape(d.code) << "\", \"severity\": \""
-            << severityName(d.severity) << "\", \"location\": \""
-            << jsonEscape(d.location) << "\", \"message\": \""
-            << jsonEscape(d.message) << "\", \"fix_hint\": \""
-            << jsonEscape(d.fix_hint) << "\"}";
+        out << (first ? "" : ",") << "\n    {\"code\": "
+            << obs::jsonQuote(d.code) << ", \"severity\": \""
+            << severityName(d.severity) << "\", \"location\": "
+            << obs::jsonQuote(d.location) << ", \"message\": "
+            << obs::jsonQuote(d.message) << ", \"fix_hint\": "
+            << obs::jsonQuote(d.fix_hint) << "}";
         first = false;
     }
     out << (first ? "]" : "\n  ]") << "\n}\n";

@@ -24,7 +24,7 @@
 #include "core/artifact_store.h"
 #include "core/characterization.h"
 #include "core/perf_trajectory.h"
-#include "obs/export.h"
+#include "obs/json.h"
 #include "obs/manifest.h"
 #include "stats/normalize.h"
 #include "suites/emerging.h"
@@ -1255,94 +1255,6 @@ readTextFile(const std::string &path, std::string &out)
     return true;
 }
 
-/**
- * Position of the value of @p key at or after @p from, or npos.
- *
- * The artifact JSON is machine-rendered with a fixed section order,
- * so a quoted-key scan (not a full parser) addresses fields reliably:
- * callers scope nested keys by first locating their section's key.
- */
-std::size_t
-jsonValuePos(const std::string &text, const std::string &key,
-             std::size_t from)
-{
-    const std::string needle = "\"" + key + "\"";
-    std::size_t at = text.find(needle, from);
-    if (at == std::string::npos)
-        return std::string::npos;
-    std::size_t pos = at + needle.size();
-    while (pos < text.size() && std::isspace(
-                                    static_cast<unsigned char>(text[pos])))
-        ++pos;
-    if (pos >= text.size() || text[pos] != ':')
-        return std::string::npos;
-    ++pos;
-    while (pos < text.size() && std::isspace(
-                                    static_cast<unsigned char>(text[pos])))
-        ++pos;
-    return pos < text.size() ? pos : std::string::npos;
-}
-
-bool
-jsonNumber(const std::string &text, const std::string &key, double &out,
-           std::size_t from = 0)
-{
-    std::size_t pos = jsonValuePos(text, key, from);
-    if (pos == std::string::npos)
-        return false;
-    try {
-        std::size_t consumed = 0;
-        out = std::stod(text.substr(pos, 64), &consumed);
-        return consumed > 0;
-    } catch (const std::exception &) {
-        return false;
-    }
-}
-
-bool
-jsonString(const std::string &text, const std::string &key,
-           std::string &out, std::size_t from = 0)
-{
-    std::size_t pos = jsonValuePos(text, key, from);
-    if (pos == std::string::npos || text[pos] != '"')
-        return false;
-    std::size_t end = text.find('"', pos + 1);
-    if (end == std::string::npos)
-        return false;
-    out = text.substr(pos + 1, end - pos - 1);
-    return true;
-}
-
-bool
-jsonBool(const std::string &text, const std::string &key, bool &out,
-         std::size_t from = 0)
-{
-    std::size_t pos = jsonValuePos(text, key, from);
-    if (pos == std::string::npos)
-        return false;
-    if (text.compare(pos, 4, "true") == 0) {
-        out = true;
-        return true;
-    }
-    if (text.compare(pos, 5, "false") == 0) {
-        out = false;
-        return true;
-    }
-    return false;
-}
-
-bool
-isHex16(const std::string &s)
-{
-    if (s.size() != 16)
-        return false;
-    for (char c : s)
-        if (!std::isxdigit(static_cast<unsigned char>(c)) ||
-            std::isupper(static_cast<unsigned char>(c)))
-            return false;
-    return true;
-}
-
 bool
 nearRel(double a, double b, double rel)
 {
@@ -1832,6 +1744,8 @@ struct BenchArtifact
 {
     std::string filename;
     std::string text;
+    bool parsed = false;  //!< text is one well-formed JSON document.
+    obs::JsonValue doc;   //!< The parsed document when parsed.
     std::uint64_t pr = 0; //!< From the file name.
     int version = 0;      //!< 1 or 2; 0 when the schema is foreign.
 };
@@ -1856,14 +1770,15 @@ collectBenchArtifacts(const std::string &dir)
         BenchArtifact artifact;
         artifact.filename = name;
         artifact.pr = std::stoull(digits);
-        if (readTextFile(entry.path().string(), artifact.text)) {
+        if (readTextFile(entry.path().string(), artifact.text) &&
+            obs::parseJson(artifact.text, artifact.doc)) {
+            artifact.parsed = true;
             std::string schema;
-            if (jsonString(artifact.text, "schema", schema)) {
-                if (schema == "speclens-bench-trajectory-v1")
-                    artifact.version = 1;
-                else if (schema == "speclens-bench-trajectory-v2")
-                    artifact.version = 2;
-            }
+            artifact.doc["schema"].getString(schema);
+            if (schema == "speclens-bench-trajectory-v1")
+                artifact.version = 1;
+            else if (schema == "speclens-bench-trajectory-v2")
+                artifact.version = 2;
         }
         artifacts.push_back(std::move(artifact));
     }
@@ -1922,7 +1837,7 @@ class BenchSchemaRule final : public RuleBase
             error(out, loc, "artifact is unreadable or empty");
             return;
         }
-        if (!obs::validateJson(a.text)) {
+        if (!a.parsed) {
             error(out, loc, "artifact is not well-formed JSON",
                   "regenerate it with `speclens bench trajectory "
                   "--pr N`");
@@ -1930,29 +1845,29 @@ class BenchSchemaRule final : public RuleBase
         }
         if (a.version == 0) {
             std::string schema;
-            jsonString(a.text, "schema", schema);
+            a.doc["schema"].getString(schema);
             error(out, loc,
                   "unknown trajectory schema '" + schema + "'",
                   "expected speclens-bench-trajectory-v1 or -v2");
             return;
         }
-        double pr = 0.0;
-        if (!jsonNumber(a.text, "pr", pr) ||
-            static_cast<std::uint64_t>(pr) != a.pr)
+        std::uint64_t pr = 0;
+        if (!a.doc["pr"].getU64(pr) || pr != a.pr)
             error(out, loc,
                   "embedded pr number does not match the file name",
                   "trajectory files must be named BENCH_<pr>.json");
 
-        std::size_t campaign = a.text.find("\"campaign\"");
-        if (campaign == std::string::npos) {
+        // Every field is read inside its own block: the seed_baseline
+        // and stats blocks reuse campaign key names.
+        const obs::JsonValue &campaign = a.doc["campaign"];
+        if (!campaign.isObject()) {
             error(out, loc, "missing campaign section");
             return;
         }
         double simulations = 0.0, per_sim = 0.0, total = 0.0;
-        if (jsonNumber(a.text, "simulations", simulations, campaign) &&
-            jsonNumber(a.text, "records_per_simulation", per_sim,
-                       campaign) &&
-            jsonNumber(a.text, "records_total", total, campaign)) {
+        if (campaign["simulations"].getDouble(simulations) &&
+            campaign["records_per_simulation"].getDouble(per_sim) &&
+            campaign["records_total"].getDouble(total)) {
             if (total != simulations * per_sim)
                 error(out, loc,
                       "records_total != simulations * "
@@ -1961,25 +1876,20 @@ class BenchSchemaRule final : public RuleBase
             error(out, loc, "campaign volume fields missing");
         }
         std::string fingerprint;
-        if (!jsonString(a.text, "fingerprint", fingerprint,
-                        campaign) ||
-            !isHex16(fingerprint))
+        if (!campaign["fingerprint"].getString(fingerprint) ||
+            !obs::isHex16(fingerprint))
             error(out, loc,
                   "campaign fingerprint is not a 16-hex digest");
         bool parity = false;
-        if (!jsonBool(a.text, "parity_bit_identical", parity,
-                      campaign) ||
-            !parity)
+        if (!campaign["parity_bit_identical"].getBool(parity) || !parity)
             error(out, loc,
                   "fused/materialized parity is not bit-identical",
                   "the streaming pipeline diverged from the "
                   "materialized baseline; never commit such a run");
         double fused = 0.0, materialized = 0.0, speedup = 0.0;
-        if (jsonNumber(a.text, "fused_seconds", fused, campaign) &&
-            jsonNumber(a.text, "materialized_seconds", materialized,
-                       campaign) &&
-            jsonNumber(a.text, "speedup_vs_materialized", speedup,
-                       campaign)) {
+        if (campaign["fused_seconds"].getDouble(fused) &&
+            campaign["materialized_seconds"].getDouble(materialized) &&
+            campaign["speedup_vs_materialized"].getDouble(speedup)) {
             if (!(fused > 0.0) || !(materialized > 0.0))
                 error(out, loc, "non-positive campaign timings");
             else if (!nearRel(speedup, materialized / fused, 1e-6))
@@ -1993,19 +1903,17 @@ class BenchSchemaRule final : public RuleBase
 
     void
     checkSeedBaseline(const BenchArtifact &a, const std::string &loc,
-                      std::size_t campaign,
+                      const obs::JsonValue &campaign,
                       std::vector<Diagnostic> &out) const
     {
-        std::size_t baseline = a.text.find("\"seed_baseline\"");
-        if (baseline == std::string::npos) {
+        const obs::JsonValue &baseline = a.doc["seed_baseline"];
+        if (!baseline.isObject()) {
             error(out, loc, "v2 artifact lacks a seed_baseline block");
             return;
         }
         double seed_rps = 0.0, seed_sps = 0.0;
-        if (!jsonNumber(a.text, "records_per_second", seed_rps,
-                        baseline) ||
-            !jsonNumber(a.text, "simulations_per_second", seed_sps,
-                        baseline) ||
+        if (!baseline["records_per_second"].getDouble(seed_rps) ||
+            !baseline["simulations_per_second"].getDouble(seed_sps) ||
             !nearRel(seed_rps, core::kSeedRecordsPerSecond, 1e-6) ||
             !nearRel(seed_sps, core::kSeedSimulationsPerSecond, 1e-6))
             error(out, loc,
@@ -2015,8 +1923,8 @@ class BenchSchemaRule final : public RuleBase
                   "in core/perf_trajectory.h are the trajectory's "
                   "fixed origin");
         double rps = 0.0, vs_seed = 0.0;
-        if (jsonNumber(a.text, "records_per_second", rps, campaign) &&
-            jsonNumber(a.text, "speedup_vs_seed", vs_seed, campaign) &&
+        if (campaign["records_per_second"].getDouble(rps) &&
+            campaign["speedup_vs_seed"].getDouble(vs_seed) &&
             !nearRel(vs_seed, rps / core::kSeedRecordsPerSecond, 1e-6))
             error(out, loc,
                   "speedup_vs_seed does not equal records_per_second "
@@ -2064,13 +1972,13 @@ class BenchTrajectoryRule final : public RuleBase
                       "each PR contributes exactly one BENCH file");
             if (a.version == 0)
                 continue; // SL020 reports the schema defect.
+            const obs::JsonValue &config = a.doc["config"];
             double instructions = 0.0, warmup = 0.0, salt = 0.0,
                    jobs = 0.0;
-            bool have =
-                jsonNumber(a.text, "instructions", instructions) &&
-                jsonNumber(a.text, "warmup", warmup) &&
-                jsonNumber(a.text, "seed_salt", salt) &&
-                jsonNumber(a.text, "jobs", jobs);
+            bool have = config["instructions"].getDouble(instructions) &&
+                        config["warmup"].getDouble(warmup) &&
+                        config["seed_salt"].getDouble(salt) &&
+                        config["jobs"].getDouble(jobs);
             if (!have ||
                 instructions !=
                     static_cast<double>(
@@ -2125,59 +2033,24 @@ class ManifestSchemaRule final : public RuleBase
             return;
         }
         const std::string loc = "store/run-manifest.json";
-        if (!obs::validateJson(text)) {
+        obs::JsonValue doc;
+        if (!obs::parseJson(text, doc)) {
             error(out, loc, "manifest is not well-formed JSON",
                   "delete it and re-run a campaign with --store");
             return;
         }
-        double version = 0.0;
-        if (!jsonNumber(text, "manifest_version", version) ||
-            version != 1.0)
-            error(out, loc,
-                  "manifest_version is not 1",
-                  "this checker understands schema version 1 only");
-        double engine = 0.0;
-        if (jsonNumber(text, "engine_version", engine) &&
-            engine !=
-                static_cast<double>(core::kStoreEngineVersion))
+        for (const std::string &message : obs::manifestSchemaErrors(doc))
+            error(out, loc, message);
+        // The engine version lives in core, which obs sits below, so
+        // this check stays here rather than in manifestSchemaErrors.
+        std::uint64_t engine = 0;
+        if (doc["engine_version"].getU64(engine) &&
+            engine != core::kStoreEngineVersion)
             emit(out, Severity::Warning, loc,
                  "manifest was written by engine version " +
-                     num(engine) + ", current is " +
+                     std::to_string(engine) + ", current is " +
                      std::to_string(core::kStoreEngineVersion),
                  "re-run the campaign to refresh it");
-        std::string fingerprint;
-        if (!jsonString(text, "config_fingerprint", fingerprint) ||
-            !isHex16(fingerprint))
-            error(out, loc,
-                  "config_fingerprint is not a 16-hex digest");
-        for (const char *block :
-             {"\"run\"", "\"totals\"", "\"rejected\"", "\"metrics\""})
-            if (text.find(block) == std::string::npos)
-                error(out, loc,
-                      std::string("missing manifest block ") + block);
-        std::size_t totals = text.find("\"totals\"");
-        if (totals != std::string::npos) {
-            for (const char *key : {"entries", "hits", "misses",
-                                    "simulations", "saves"}) {
-                double value = 0.0;
-                if (!jsonNumber(text, key, value, totals))
-                    error(out, loc,
-                          std::string("totals block lacks '") + key +
-                              "'");
-            }
-        }
-        std::size_t rejected = text.find("\"rejected\"");
-        if (rejected != std::string::npos) {
-            for (const char *key :
-                 {"corrupt", "stale_version", "fingerprint_mismatch",
-                  "orphaned_temp"}) {
-                double value = 0.0;
-                if (!jsonNumber(text, key, value, rejected))
-                    error(out, loc,
-                          std::string("rejected block lacks '") +
-                              key + "'");
-            }
-        }
     }
 };
 
@@ -2212,23 +2085,24 @@ class ManifestStoreRule final : public RuleBase
             return;
         }
         const std::string loc = "store/run-manifest.json";
-        std::size_t totals = text.find("\"totals\"");
-        double entries = 0.0, misses = 0.0, simulations = 0.0,
-               saves = 0.0;
-        if (totals == std::string::npos ||
-            !jsonNumber(text, "entries", entries, totals) ||
-            !jsonNumber(text, "misses", misses, totals) ||
-            !jsonNumber(text, "simulations", simulations, totals) ||
-            !jsonNumber(text, "saves", saves, totals))
+        obs::JsonValue doc;
+        if (!obs::parseJson(text, doc))
+            return; // SL022 reports the syntax defect.
+        const obs::JsonValue &totals = doc["totals"];
+        std::uint64_t entries = 0, misses = 0, simulations = 0, saves = 0;
+        if (!totals["entries"].getU64(entries) ||
+            !totals["misses"].getU64(misses) ||
+            !totals["simulations"].getU64(simulations) ||
+            !totals["saves"].getU64(saves))
             return; // SL022 reports the schema defect.
 
         core::CampaignStore store(context.store_dir);
-        const double on_disk =
-            static_cast<double>(store.entryCount());
+        const std::uint64_t on_disk = store.entryCount();
         if (entries != on_disk)
             error(out, loc,
-                  "manifest records " + num(entries) +
-                      " entries but the store holds " + num(on_disk),
+                  "manifest records " + std::to_string(entries) +
+                      " entries but the store holds " +
+                      std::to_string(on_disk),
                   "the store changed since the manifest was written; "
                   "re-run the campaign with --store to refresh it");
         if (saves > simulations)
@@ -2332,7 +2206,7 @@ class StoreShardLayoutRule final : public RuleBase
     description() const override
     {
         return "every store entry sits in the shard its fingerprint "
-               "names; flat root entries are legacy";
+               "names";
     }
 
     void
@@ -2347,19 +2221,19 @@ class StoreShardLayoutRule final : public RuleBase
         }
         namespace fs = std::filesystem;
         std::error_code ec;
-        std::size_t well_placed = 0, legacy = 0, misfiled = 0;
+        std::size_t well_placed = 0, misfiled = 0;
         for (const fs::directory_entry &entry :
              fs::directory_iterator(context.store_dir, ec)) {
             std::string name = entry.path().filename().string();
             if (entry.is_regular_file() && isEntryName(name)) {
-                // Pre-shard flat layout: load() still finds these
-                // through the root fallback, so this is a warning,
-                // not an error.
-                ++legacy;
-                emit(out, Severity::Warning, "store/" + name,
-                     "entry uses the pre-shard flat layout",
-                     "re-run the campaign with --store to rewrite it "
-                     "into its fingerprint shard");
+                // The pre-shard flat layout: no load looks here.
+                ++misfiled;
+                error(out, "store/" + name,
+                      "entry sits in the store root, outside every "
+                      "shard",
+                      "loads resolve entries by fingerprint shard, so "
+                      "it is unreachable and silently recomputed; "
+                      "remove it with `speclens campaign invalidate`");
                 continue;
             }
             if (!entry.is_directory() ||
@@ -2402,7 +2276,6 @@ class StoreShardLayoutRule final : public RuleBase
         emit(out, Severity::Info, "store",
              std::to_string(well_placed) +
                  " entries correctly sharded, " +
-                 std::to_string(legacy) + " legacy flat, " +
                  std::to_string(misfiled) + " misfiled");
     }
 

@@ -1,10 +1,11 @@
 /**
  * @file
- * Run-manifest renderer implementation.
+ * Run-manifest renderer, writer and schema check.
  */
 
 #include "manifest.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -14,34 +15,12 @@
 #include <thread>
 
 #include "export.h"
+#include "json.h"
 
 namespace speclens {
 namespace obs {
 
 namespace {
-
-/** JSON string literal (same escaping rules as the JSON exporter). */
-std::string
-quote(const std::string &text)
-{
-    std::string out = "\"";
-    for (char c : text) {
-        unsigned char u = static_cast<unsigned char>(c);
-        if (c == '"')
-            out += "\\\"";
-        else if (c == '\\')
-            out += "\\\\";
-        else if (u < 0x20) {
-            char buffer[8];
-            std::snprintf(buffer, sizeof(buffer), "\\u%04x", u);
-            out += buffer;
-        } else {
-            out.push_back(c);
-        }
-    }
-    out.push_back('"');
-    return out;
-}
 
 void
 appendObject(
@@ -54,7 +33,7 @@ appendObject(
     const char *sep = "";
     for (const auto &[name, value] : fields) {
         out += sep;
-        out += "\n    " + quote(name) + ": " + quote(value);
+        out += "\n    " + jsonQuote(name) + ": " + jsonQuote(value);
         sep = ",";
     }
     out += fields.empty() ? "},\n" : "\n  },\n";
@@ -71,7 +50,7 @@ appendObject(
     const char *sep = "";
     for (const auto &[name, value] : fields) {
         out += sep;
-        out += "\n    " + quote(name) + ": " + std::to_string(value);
+        out += "\n    " + jsonQuote(name) + ": " + std::to_string(value);
         sep = ",";
     }
     out += fields.empty() ? "},\n" : "\n  },\n";
@@ -107,13 +86,59 @@ renderManifest(const Manifest &manifest)
     out += "  \"engine_version\": " +
            std::to_string(manifest.engine_version) + ",\n";
     out += "  \"config_fingerprint\": " +
-           quote(manifest.config_fingerprint) + ",\n";
+           jsonQuote(manifest.config_fingerprint) + ",\n";
     appendObject(out, "run", manifest.run);
     appendObject(out, "totals", manifest.totals);
     appendObject(out, "rejected", manifest.rejected);
     out += "  \"metrics\": " + indentedMetrics(manifest.metrics) + "\n";
     out += "}\n";
     return out;
+}
+
+bool
+isHex16(const std::string &text)
+{
+    return text.size() == 16 &&
+           text.find_first_not_of("0123456789abcdef") ==
+               std::string::npos;
+}
+
+std::vector<std::string>
+manifestSchemaErrors(const JsonValue &document)
+{
+    std::vector<std::string> errors;
+    if (!document.isObject()) {
+        errors.push_back("manifest is not a JSON object");
+        return errors;
+    }
+    std::uint64_t value = 0;
+    if (!document["manifest_version"].getU64(value) || value != 1)
+        errors.push_back("manifest_version is not 1");
+    if (!document["engine_version"].getU64(value))
+        errors.push_back("engine_version is not an unsigned integer");
+    std::string fingerprint;
+    if (!document["config_fingerprint"].getString(fingerprint) ||
+        !isHex16(fingerprint))
+        errors.push_back("config_fingerprint is not a 16-hex digest");
+    for (const char *block : {"run", "totals", "rejected", "metrics"})
+        if (!document[block].isObject())
+            errors.push_back(std::string("missing manifest block \"") +
+                             block + "\"");
+    const JsonValue &totals = document["totals"];
+    if (totals.isObject())
+        for (const char *key :
+             {"entries", "hits", "misses", "simulations", "saves"})
+            if (!totals[key].getU64(value))
+                errors.push_back(std::string("totals block lacks '") +
+                                 key + "'");
+    const JsonValue &rejected = document["rejected"];
+    if (rejected.isObject())
+        for (const char *key : {"corrupt", "stale_version",
+                                "fingerprint_mismatch", "orphaned_temp"})
+            if (!rejected[key].getU64(value))
+                errors.push_back(std::string("rejected block lacks '") +
+                                 key + "'");
+    return errors;
 }
 
 bool

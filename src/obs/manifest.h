@@ -36,6 +36,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/json.h"
 #include "obs/metrics.h"
 
 namespace speclens {
@@ -70,6 +71,16 @@ struct Manifest
 
 /** Render @p manifest as its canonical JSON document. */
 std::string renderManifest(const Manifest &manifest);
+
+/** Lower-case 16-digit hex: the shape of every SpecLens fingerprint. */
+bool isHex16(const std::string &text);
+
+/**
+ * Schema-v1 defects of a parsed manifest, one message each; empty when
+ * @p document is a valid version-1 manifest.  The one schema check
+ * behind lint rule SL022 and `speclens campaign manifest`.
+ */
+std::vector<std::string> manifestSchemaErrors(const JsonValue &document);
 
 /**
  * Render and write @p manifest to @p path.  Returns false on I/O

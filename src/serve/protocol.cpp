@@ -1,6 +1,6 @@
 /**
  * @file
- * Wire-protocol implementation: flat-JSON codec and frame I/O.
+ * Wire-protocol implementation: JSON codec and frame I/O.
  */
 
 #include "protocol.h"
@@ -9,210 +9,13 @@
 #include <sys/types.h>
 
 #include <cerrno>
-#include <cstdio>
-#include <map>
+
+#include "obs/json.h"
 
 namespace speclens {
 namespace serve {
 
 namespace {
-
-// ----- Flat JSON parsing ----------------------------------------------
-//
-// The protocol needs no general JSON library: requests and responses
-// are single-level objects whose values are strings, unsigned
-// integers, booleans or arrays of strings.  The parser below accepts
-// exactly that grammar (with arbitrary whitespace) and rejects
-// everything else, which doubles as input validation for the server.
-
-/** One parsed value. */
-struct JsonValue
-{
-    enum class Kind { String, Number, Bool, Array } kind = Kind::String;
-    std::string str;
-    std::uint64_t num = 0;
-    bool flag = false;
-    std::vector<std::string> items;
-};
-
-class Parser
-{
-  public:
-    explicit Parser(const std::string &text) : text_(text) {}
-
-    /** Parse the whole payload as one flat object. */
-    bool parseObject(std::map<std::string, JsonValue> &fields)
-    {
-        skipSpace();
-        if (!consume('{'))
-            return false;
-        skipSpace();
-        if (consume('}'))
-            return atEnd();
-        while (true) {
-            std::string key;
-            if (!parseString(key))
-                return false;
-            skipSpace();
-            if (!consume(':'))
-                return false;
-            JsonValue value;
-            if (!parseValue(value))
-                return false;
-            fields[key] = std::move(value);
-            skipSpace();
-            if (consume(',')) {
-                skipSpace();
-                continue;
-            }
-            if (consume('}'))
-                return atEnd();
-            return false;
-        }
-    }
-
-  private:
-    void skipSpace()
-    {
-        while (pos_ < text_.size() &&
-               (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-                text_[pos_] == '\n' || text_[pos_] == '\r'))
-            ++pos_;
-    }
-
-    bool consume(char c)
-    {
-        if (pos_ < text_.size() && text_[pos_] == c) {
-            ++pos_;
-            return true;
-        }
-        return false;
-    }
-
-    bool atEnd()
-    {
-        skipSpace();
-        return pos_ == text_.size();
-    }
-
-    bool parseHex4(unsigned &out)
-    {
-        out = 0;
-        for (int i = 0; i < 4; ++i) {
-            if (pos_ >= text_.size())
-                return false;
-            char c = text_[pos_++];
-            unsigned digit;
-            if (c >= '0' && c <= '9')
-                digit = static_cast<unsigned>(c - '0');
-            else if (c >= 'a' && c <= 'f')
-                digit = static_cast<unsigned>(c - 'a') + 10;
-            else if (c >= 'A' && c <= 'F')
-                digit = static_cast<unsigned>(c - 'A') + 10;
-            else
-                return false;
-            out = (out << 4) | digit;
-        }
-        return true;
-    }
-
-    bool parseString(std::string &out)
-    {
-        skipSpace();
-        if (!consume('"'))
-            return false;
-        out.clear();
-        while (pos_ < text_.size()) {
-            char c = text_[pos_++];
-            if (c == '"')
-                return true;
-            if (c != '\\') {
-                out.push_back(c);
-                continue;
-            }
-            if (pos_ >= text_.size())
-                return false;
-            char esc = text_[pos_++];
-            switch (esc) {
-            case '"': out.push_back('"'); break;
-            case '\\': out.push_back('\\'); break;
-            case '/': out.push_back('/'); break;
-            case 'n': out.push_back('\n'); break;
-            case 't': out.push_back('\t'); break;
-            case 'r': out.push_back('\r'); break;
-            case 'b': out.push_back('\b'); break;
-            case 'f': out.push_back('\f'); break;
-            case 'u': {
-                unsigned code;
-                if (!parseHex4(code) || code > 0xff)
-                    return false; // encoder only emits \u00XX
-                out.push_back(static_cast<char>(code));
-                break;
-            }
-            default: return false;
-            }
-        }
-        return false; // unterminated
-    }
-
-    bool parseValue(JsonValue &value)
-    {
-        skipSpace();
-        if (pos_ >= text_.size())
-            return false;
-        char c = text_[pos_];
-        if (c == '"') {
-            value.kind = JsonValue::Kind::String;
-            return parseString(value.str);
-        }
-        if (c == '[') {
-            ++pos_;
-            value.kind = JsonValue::Kind::Array;
-            skipSpace();
-            if (consume(']'))
-                return true;
-            while (true) {
-                std::string item;
-                if (!parseString(item))
-                    return false;
-                value.items.push_back(std::move(item));
-                skipSpace();
-                if (consume(',')) {
-                    skipSpace();
-                    continue;
-                }
-                return consume(']');
-            }
-        }
-        if (c == 't' || c == 'f') {
-            const char *word = c == 't' ? "true" : "false";
-            for (const char *p = word; *p; ++p)
-                if (pos_ >= text_.size() || text_[pos_++] != *p)
-                    return false;
-            value.kind = JsonValue::Kind::Bool;
-            value.flag = c == 't';
-            return true;
-        }
-        if (c >= '0' && c <= '9') {
-            value.kind = JsonValue::Kind::Number;
-            value.num = 0;
-            while (pos_ < text_.size() && text_[pos_] >= '0' &&
-                   text_[pos_] <= '9') {
-                std::uint64_t digit =
-                    static_cast<std::uint64_t>(text_[pos_] - '0');
-                if (value.num > (UINT64_MAX - digit) / 10)
-                    return false; // overflow
-                value.num = value.num * 10 + digit;
-                ++pos_;
-            }
-            return true;
-        }
-        return false;
-    }
-
-    const std::string &text_;
-    std::size_t pos_ = 0;
-};
 
 // ----- Socket helpers --------------------------------------------------
 
@@ -291,28 +94,6 @@ opFromName(const std::string &name, Op &op)
 }
 
 std::string
-jsonQuote(const std::string &text)
-{
-    std::string out = "\"";
-    for (char c : text) {
-        unsigned char u = static_cast<unsigned char>(c);
-        if (c == '"')
-            out += "\\\"";
-        else if (c == '\\')
-            out += "\\\\";
-        else if (u < 0x20) {
-            char buffer[8];
-            std::snprintf(buffer, sizeof(buffer), "\\u%04x", u);
-            out += buffer;
-        } else {
-            out.push_back(c);
-        }
-    }
-    out.push_back('"');
-    return out;
-}
-
-std::string
 encodeRequest(const Request &request)
 {
     std::string out = "{\"op\": " + jsonQuote(opName(request.op));
@@ -349,50 +130,46 @@ bool
 decodeRequest(const std::string &payload, Request &request,
               std::string &error)
 {
-    std::map<std::string, JsonValue> fields;
-    Parser parser(payload);
-    if (!parser.parseObject(fields)) {
+    request = Request();
+    obs::JsonValue doc;
+    if (!obs::parseJson(payload, doc) || !doc.isObject()) {
         error = "malformed request frame";
         return false;
     }
-    auto op = fields.find("op");
-    if (op == fields.end() ||
-        op->second.kind != JsonValue::Kind::String ||
-        !opFromName(op->second.str, request.op)) {
+    std::string op;
+    if (!doc["op"].getString(op) || !opFromName(op, request.op)) {
         error = "unknown op";
         return false;
     }
-    auto benchmarks = fields.find("benchmarks");
-    if (benchmarks != fields.end()) {
-        if (benchmarks->second.kind != JsonValue::Kind::Array) {
+    if (const obs::JsonValue *benchmarks = doc.find("benchmarks")) {
+        bool strings = benchmarks->isArray();
+        for (const obs::JsonValue &item : benchmarks->items())
+            strings = strings &&
+                      item.getString(request.benchmarks.emplace_back());
+        if (!strings) {
             error = "benchmarks must be an array of strings";
             return false;
         }
-        request.benchmarks = std::move(benchmarks->second.items);
     }
-    auto category = fields.find("category");
-    if (category != fields.end()) {
-        if (category->second.kind != JsonValue::Kind::String) {
-            error = "category must be a string";
+    if (const obs::JsonValue *category = doc.find("category");
+        category && !category->getString(request.category)) {
+        error = "category must be a string";
+        return false;
+    }
+    // encodeRequest writes k for subset only, so only subset may carry
+    // it: a decoded request always re-encodes to the same request.
+    if (const obs::JsonValue *k = doc.find("k")) {
+        std::uint64_t value = 0;
+        if (request.op != Op::Subset || !k->getU64(value)) {
+            error = "k must be an unsigned integer on a subset request";
             return false;
         }
-        request.category = std::move(category->second.str);
+        request.k = static_cast<std::size_t>(value);
     }
-    auto k = fields.find("k");
-    if (k != fields.end()) {
-        if (k->second.kind != JsonValue::Kind::Number) {
-            error = "k must be an unsigned integer";
-            return false;
-        }
-        request.k = static_cast<std::size_t>(k->second.num);
-    }
-    auto metric = fields.find("metric");
-    if (metric != fields.end()) {
-        if (metric->second.kind != JsonValue::Kind::String) {
-            error = "metric must be a string";
-            return false;
-        }
-        request.metric = std::move(metric->second.str);
+    if (const obs::JsonValue *metric = doc.find("metric");
+        metric && !metric->getString(request.metric)) {
+        error = "metric must be a string";
+        return false;
     }
     return true;
 }
@@ -401,26 +178,23 @@ bool
 decodeResponse(const std::string &payload, Response &response,
                std::string &error)
 {
-    std::map<std::string, JsonValue> fields;
-    Parser parser(payload);
-    if (!parser.parseObject(fields)) {
+    response = Response();
+    obs::JsonValue doc;
+    if (!obs::parseJson(payload, doc) || !doc.isObject()) {
         error = "malformed response frame";
         return false;
     }
-    auto ok = fields.find("ok");
-    if (ok == fields.end() || ok->second.kind != JsonValue::Kind::Bool) {
+    if (!doc["ok"].getBool(response.ok)) {
         error = "response missing ok";
         return false;
     }
-    response.ok = ok->second.flag;
-    auto output = fields.find("output");
-    if (output != fields.end() &&
-        output->second.kind == JsonValue::Kind::String)
-        response.output = std::move(output->second.str);
-    auto err = fields.find("error");
-    if (err != fields.end() &&
-        err->second.kind == JsonValue::Kind::String)
-        response.error = std::move(err->second.str);
+    const obs::JsonValue *output = doc.find("output");
+    const obs::JsonValue *err = doc.find("error");
+    if ((output && !output->getString(response.output)) ||
+        (err && !err->getString(response.error))) {
+        error = "response output and error must be strings";
+        return false;
+    }
     return true;
 }
 

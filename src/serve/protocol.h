@@ -23,10 +23,13 @@
  * where `output` is byte-identical to what the batch CLI prints on
  * stdout for the same query (the serve-smoke check `cmp`s the two).
  *
- * The codec is dependency-free: the encoder writes exactly the shapes
- * above and the decoder accepts any flat JSON object whose values are
- * strings, unsigned integers, booleans or arrays of strings — enough
- * for this protocol, and strict about everything else.
+ * The encoder writes exactly the shapes above.  The decoders read
+ * frames with obs::parseJson, the strict reader every SpecLens JSON
+ * document goes through: a duplicate key, a raw control character or
+ * any other RFC 8259 defect rejects the whole frame.  Known fields
+ * must have the types shown (`k` an exact unsigned integer, and only
+ * on a subset request); unknown fields are ignored.  A request the
+ * decoder accepts re-encodes to the same request.
  */
 
 #ifndef SPECLENS_SERVE_PROTOCOL_H
@@ -36,6 +39,8 @@
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "obs/json.h"
 
 namespace speclens {
 namespace serve {
@@ -89,8 +94,8 @@ struct Response
     std::string error;
 };
 
-/** JSON string literal with escaping (control chars as \\u00XX). */
-std::string jsonQuote(const std::string &text);
+/** JSON string literal with escaping: the obs quoter, by its serve name. */
+using obs::jsonQuote;
 
 /** Encode @p request as a flat JSON object (no frame header). */
 std::string encodeRequest(const Request &request);

@@ -8,8 +8,6 @@
 #include <algorithm>
 #include <cstdlib>
 #include <stdexcept>
-#include <type_traits>
-#include <utility>
 
 namespace speclens {
 namespace uarch {
@@ -46,19 +44,6 @@ makePredictorVariant(PredictorKind kind, unsigned size_log2)
         return TageLitePredictor(size_log2 > 2 ? size_log2 - 2 : 1);
     }
     throw std::invalid_argument("makePredictorVariant: unknown kind");
-}
-
-std::unique_ptr<BranchPredictor>
-makePredictor(PredictorKind kind, unsigned size_log2)
-{
-    // Built from the variant factory so both creation paths share one
-    // source of truth for the per-kind sizing adjustments.
-    return std::visit(
-        [](auto &&predictor) -> std::unique_ptr<BranchPredictor> {
-            using Concrete = std::decay_t<decltype(predictor)>;
-            return std::make_unique<Concrete>(std::move(predictor));
-        },
-        makePredictorVariant(kind, size_log2));
 }
 
 // ---------------------------------------------------------------------

@@ -9,16 +9,18 @@
  * drives both the front-end component of the CPI stacks (Fig. 1) and
  * the branch-sensitivity classification (Table IX).
  *
- * All predictors implement the same predict/update interface over a
- * (pc, static-branch-id) pair; the id is folded into the index hash so
- * distinct static branches collide realistically but not pathologically.
+ * All predictors implement the same predict/update/updateBatch/name
+ * interface over a (pc, static-branch-id) pair; the id is folded into
+ * the index hash so distinct static branches collide realistically but
+ * not pathologically.  They share no base class: PredictorVariant
+ * below is the one dispatch path, resolved once per playback window
+ * with std::visit.
  */
 
 #ifndef SPECLENS_UARCH_BRANCH_PREDICTOR_H
 #define SPECLENS_UARCH_BRANCH_PREDICTOR_H
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <variant>
 #include <vector>
@@ -42,32 +44,6 @@ enum class PredictorKind {
 /** Human-readable predictor name. */
 std::string predictorKindName(PredictorKind kind);
 
-/** Abstract direction predictor. */
-class BranchPredictor
-{
-  public:
-    virtual ~BranchPredictor() = default;
-
-    /** Predict the direction of the branch at @p pc with id @p id. */
-    virtual bool predict(std::uint64_t pc, std::uint32_t id) = 0;
-
-    /** Train with the resolved direction. */
-    virtual void update(std::uint64_t pc, std::uint32_t id, bool taken) = 0;
-
-    /** Design name for reports. */
-    virtual std::string name() const = 0;
-};
-
-/**
- * Create a predictor.
- *
- * @param kind Design to instantiate.
- * @param size_log2 log2 of the main table size (counters, perceptrons
- *        or per-table TAGE entries); larger machines pass larger values.
- */
-std::unique_ptr<BranchPredictor> makePredictor(PredictorKind kind,
-                                               unsigned size_log2 = 12);
-
 /*
  * Batched prediction: every concrete predictor also exposes
  *
@@ -86,28 +62,28 @@ std::unique_ptr<BranchPredictor> makePredictor(PredictorKind kind,
  */
 
 /** Always-taken baseline. */
-class StaticTakenPredictor final : public BranchPredictor
+class StaticTakenPredictor final
 {
   public:
-    bool predict(std::uint64_t, std::uint32_t) override { return true; }
-    void update(std::uint64_t, std::uint32_t, bool) override {}
+    bool predict(std::uint64_t, std::uint32_t) { return true; }
+    void update(std::uint64_t, std::uint32_t, bool) {}
     void updateBatch(const std::uint64_t *pc, const std::uint32_t *id,
                      const std::uint8_t *taken, std::uint8_t *mispred,
                      std::size_t n);
-    std::string name() const override { return "static-taken"; }
+    std::string name() const { return "static-taken"; }
 };
 
 /** Classic 2-bit saturating counter table. */
-class BimodalPredictor final : public BranchPredictor
+class BimodalPredictor final
 {
   public:
     explicit BimodalPredictor(unsigned size_log2);
-    bool predict(std::uint64_t pc, std::uint32_t id) override;
-    void update(std::uint64_t pc, std::uint32_t id, bool taken) override;
+    bool predict(std::uint64_t pc, std::uint32_t id);
+    void update(std::uint64_t pc, std::uint32_t id, bool taken);
     void updateBatch(const std::uint64_t *pc, const std::uint32_t *id,
                      const std::uint8_t *taken, std::uint8_t *mispred,
                      std::size_t n);
-    std::string name() const override { return "bimodal"; }
+    std::string name() const { return "bimodal"; }
 
   private:
     std::size_t index(std::uint64_t pc, std::uint32_t id) const;
@@ -125,16 +101,16 @@ class BimodalPredictor final : public BranchPredictor
 };
 
 /** Gshare: global history XORed into the table index. */
-class GsharePredictor final : public BranchPredictor
+class GsharePredictor final
 {
   public:
     GsharePredictor(unsigned size_log2, unsigned history_bits);
-    bool predict(std::uint64_t pc, std::uint32_t id) override;
-    void update(std::uint64_t pc, std::uint32_t id, bool taken) override;
+    bool predict(std::uint64_t pc, std::uint32_t id);
+    void update(std::uint64_t pc, std::uint32_t id, bool taken);
     void updateBatch(const std::uint64_t *pc, const std::uint32_t *id,
                      const std::uint8_t *taken, std::uint8_t *mispred,
                      std::size_t n);
-    std::string name() const override { return "gshare"; }
+    std::string name() const { return "gshare"; }
 
   private:
     std::size_t index(std::uint64_t pc, std::uint32_t id) const;
@@ -150,16 +126,16 @@ class GsharePredictor final : public BranchPredictor
 };
 
 /** Tournament of bimodal and gshare with a 2-bit meta chooser. */
-class TournamentPredictor final : public BranchPredictor
+class TournamentPredictor final
 {
   public:
     explicit TournamentPredictor(unsigned size_log2);
-    bool predict(std::uint64_t pc, std::uint32_t id) override;
-    void update(std::uint64_t pc, std::uint32_t id, bool taken) override;
+    bool predict(std::uint64_t pc, std::uint32_t id);
+    void update(std::uint64_t pc, std::uint32_t id, bool taken);
     void updateBatch(const std::uint64_t *pc, const std::uint32_t *id,
                      const std::uint8_t *taken, std::uint8_t *mispred,
                      std::size_t n);
-    std::string name() const override { return "tournament"; }
+    std::string name() const { return "tournament"; }
 
   private:
     BimodalPredictor bimodal_;
@@ -178,16 +154,16 @@ class TournamentPredictor final : public BranchPredictor
 };
 
 /** Perceptron predictor (Jimenez & Lin, HPCA'01) over global history. */
-class PerceptronPredictor final : public BranchPredictor
+class PerceptronPredictor final
 {
   public:
     PerceptronPredictor(unsigned size_log2, unsigned history_bits);
-    bool predict(std::uint64_t pc, std::uint32_t id) override;
-    void update(std::uint64_t pc, std::uint32_t id, bool taken) override;
+    bool predict(std::uint64_t pc, std::uint32_t id);
+    void update(std::uint64_t pc, std::uint32_t id, bool taken);
     void updateBatch(const std::uint64_t *pc, const std::uint32_t *id,
                      const std::uint8_t *taken, std::uint8_t *mispred,
                      std::size_t n);
-    std::string name() const override { return "perceptron"; }
+    std::string name() const { return "perceptron"; }
 
   private:
     std::size_t index(std::uint64_t pc, std::uint32_t id) const;
@@ -206,16 +182,16 @@ class PerceptronPredictor final : public BranchPredictor
  * with geometrically increasing history lengths; longest matching
  * component provides the prediction.
  */
-class TageLitePredictor final : public BranchPredictor
+class TageLitePredictor final
 {
   public:
     explicit TageLitePredictor(unsigned size_log2, unsigned num_tables = 4);
-    bool predict(std::uint64_t pc, std::uint32_t id) override;
-    void update(std::uint64_t pc, std::uint32_t id, bool taken) override;
+    bool predict(std::uint64_t pc, std::uint32_t id);
+    void update(std::uint64_t pc, std::uint32_t id, bool taken);
     void updateBatch(const std::uint64_t *pc, const std::uint32_t *id,
                      const std::uint8_t *taken, std::uint8_t *mispred,
                      std::size_t n);
-    std::string name() const override { return "tage-lite"; }
+    std::string name() const { return "tage-lite"; }
 
   private:
     struct Entry
@@ -268,11 +244,10 @@ class TageLitePredictor final : public BranchPredictor
  * Closed set of concrete predictor types for static dispatch.
  *
  * The per-instruction playback loop is dominated by predict()/update()
- * calls; going through the virtual interface costs an indirect call
- * (and blocks inlining) per branch instruction.  Holding the predictor
- * as a variant lets the simulator std::visit once per playback window
- * and run the whole loop against the concrete (final) type, where the
- * calls resolve statically and inline.
+ * calls.  Holding the predictor as a variant lets the simulator
+ * std::visit once per playback window and run the whole loop against
+ * the concrete (final) type, where the calls resolve statically and
+ * inline.
  */
 using PredictorVariant =
     std::variant<StaticTakenPredictor, BimodalPredictor, GsharePredictor,
@@ -280,11 +255,12 @@ using PredictorVariant =
                  TageLitePredictor>;
 
 /**
- * Create a predictor as a variant over the concrete types.
+ * Create a predictor.
  *
- * Applies exactly the same per-kind sizing adjustments as
- * makePredictor(), so the two factories produce behaviourally
- * identical predictors for any (kind, size_log2).
+ * @param kind Design to instantiate.
+ * @param size_log2 log2 of the main table size (counters, perceptrons
+ *        or per-table TAGE entries); larger machines pass larger values.
+ *        Each kind applies its own sizing adjustment to it.
  */
 PredictorVariant makePredictorVariant(PredictorKind kind,
                                       unsigned size_log2 = 12);

@@ -16,7 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "core/perf_trajectory.h"
-#include "obs/export.h"
+#include "obs/json.h"
 
 using namespace speclens;
 

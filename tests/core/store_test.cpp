@@ -22,7 +22,7 @@
 #include "core/analysis_session.h"
 #include "core/artifact_store.h"
 #include "core/characterization.h"
-#include "obs/export.h"
+#include "obs/json.h"
 #include "obs/manifest.h"
 #include "suites/emerging.h"
 #include "suites/machines.h"

@@ -11,6 +11,7 @@
 
 #include "lint/linter.h"
 #include "lint/rules.h"
+#include "obs/json.h"
 
 namespace speclens {
 namespace lint {
@@ -129,10 +130,20 @@ TEST(RenderJson, EscapesAndStructuresFindings)
     EXPECT_NE(json.find("\"rules_run\": 15"), std::string::npos);
     EXPECT_NE(json.find("\"errors\": 1"), std::string::npos);
     EXPECT_NE(json.find("a\\\"b"), std::string::npos);
-    EXPECT_NE(json.find("line1\\nline2"), std::string::npos);
-    EXPECT_NE(json.find("tab\\there"), std::string::npos);
-    // No raw control characters may survive escaping.
+    // No raw control characters may survive escaping...
     EXPECT_EQ(json.find("line1\nline2"), std::string::npos);
+    // ...and every escaped field decodes back to its text.
+    obs::JsonValue doc;
+    ASSERT_TRUE(obs::parseJson(json, doc));
+    ASSERT_EQ(doc["diagnostics"].items().size(), 1u);
+    const obs::JsonValue &finding = doc["diagnostics"].items()[0];
+    std::string location, message, fix_hint;
+    EXPECT_TRUE(finding["location"].getString(location));
+    EXPECT_TRUE(finding["message"].getString(message));
+    EXPECT_TRUE(finding["fix_hint"].getString(fix_hint));
+    EXPECT_EQ(location, "a\"b");
+    EXPECT_EQ(message, "line1\nline2");
+    EXPECT_EQ(fix_hint, "tab\there");
 }
 
 TEST(RenderJson, EmptyReportYieldsEmptyArray)

@@ -13,8 +13,10 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <sstream>
+#include <string>
 
 #include "core/artifact_store.h"
 #include "core/perf_trajectory.h"
@@ -594,6 +596,28 @@ TEST(Rules, SL020_SeedBaselineDrift)
     expectFires("SL020", context);
 }
 
+// The committed BENCH_10.json without its campaign fingerprint: each
+// field is read inside its own block, so the stats block's fingerprint
+// must not stand in for the missing one.
+TEST(Rules, SL020_MissingCampaignFingerprintIsAnError)
+{
+    std::ifstream in(std::string(SPECLENS_SOURCE_DIR) + "/BENCH_10.json");
+    std::string text((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+    ASSERT_FALSE(text.empty());
+    TempDir dir("speclens_sl020_fingerprint_test");
+    LintContext context = cleanContext();
+    context.bench_dir = dir.path.string();
+
+    writeFile(dir.path / "BENCH_10.json", text);
+    EXPECT_EQ(errorCount(runRule("SL020", context)), 0u);
+
+    writeFile(dir.path / "BENCH_10.json",
+              replaced(text, "    \"fingerprint\": \"d847d360243018d8\",\n",
+                       ""));
+    expectFires("SL020", context);
+}
+
 TEST(Rules, SL021_SkipNoteWithoutBenchDir)
 {
     std::vector<Diagnostic> found = runRule("SL021", cleanContext());
@@ -729,7 +753,7 @@ TEST(Rules, SL025_MisfiledEntryIsAnError)
     expectFires("SL025", context);
 }
 
-TEST(Rules, SL025_LegacyFlatEntryIsAWarning)
+TEST(Rules, SL025_RootLevelEntryIsAnError)
 {
     TempDir dir("speclens_sl025_legacy_test");
     core::CampaignStore store(dir.path.string());
@@ -744,17 +768,26 @@ TEST(Rules, SL025_LegacyFlatEntryIsAWarning)
     store.save(key, uarch::simulate(context.cpu2017[0].profile,
                                     context.machines[0], window));
 
-    // A pre-shard store kept entries in the root: readable, so only a
-    // warning, never an error.
+    // A pre-shard store kept entries in the root, where no load looks:
+    // misfiled like any other, with `campaign invalidate` as the fix.
     std::filesystem::path name = entryBaseName(key);
     std::filesystem::rename(
         dir.path / core::storeShardDirName(
                        core::storeShardIndex(key.fingerprint)) /
             name,
         dir.path / name);
-    std::vector<Diagnostic> found = runRule("SL025", context);
-    EXPECT_EQ(errorCount(found), 0u);
-    EXPECT_GE(countSeverity(found, Severity::Warning), 1u);
+    expectFires("SL025", context);
+    bool hint_seen = false;
+    for (const Diagnostic &d : runRule("SL025", context))
+        if (d.severity == Severity::Error &&
+            d.fix_hint.find("campaign invalidate") != std::string::npos)
+            hint_seen = true;
+    EXPECT_TRUE(hint_seen);
+
+    // ...and the named fix really removes the root-level file.
+    EXPECT_EQ(core::CampaignStore(dir.path.string()).invalidate(), 1u);
+    EXPECT_FALSE(std::filesystem::exists(dir.path / name));
+    EXPECT_EQ(errorCount(runRule("SL025", context)), 0u);
 }
 
 } // namespace

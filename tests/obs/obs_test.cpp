@@ -4,8 +4,8 @@
  *
  * Covers the metrics registry (instrument identity, snapshot ordering,
  * exact counts under concurrent mutation), the RAII timing span, both
- * exporters against golden renderings, the dependency-free JSON
- * well-formedness checker, and the run-manifest renderer/writer.
+ * exporters against golden renderings, the strict JSON reader and
+ * quoter, and the run-manifest renderer, writer and schema check.
  *
  * Tests that assert recorded *values* skip themselves when the build
  * was configured with -DSPECLENS_METRICS=OFF (mutation hooks compile
@@ -14,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -22,6 +24,7 @@
 #include <vector>
 
 #include "obs/export.h"
+#include "obs/json.h"
 #include "obs/manifest.h"
 #include "obs/metrics.h"
 
@@ -316,6 +319,20 @@ TEST(ValidateJson, RejectsMalformedDocuments)
     EXPECT_FALSE(validateJson("\"raw \n newline\""));
     EXPECT_FALSE(validateJson("{'single': 1}"));
     EXPECT_FALSE(validateJson("nul"));
+    // A serve request whose benchmark name holds a raw newline.
+    EXPECT_FALSE(validateJson(
+        "{\"op\": \"characterize\", \"benchmarks\": [\"505.mcf\n_r\"]}"));
+    // Duplicate keys, at any depth.
+    EXPECT_FALSE(validateJson("{\"a\": 1, \"a\": 1}"));
+    EXPECT_FALSE(validateJson("[{\"x\": {\"k\": 1, \"j\": 2, \"k\": 3}}]"));
+    // Lone or mismatched surrogate halves, and bad hex.
+    EXPECT_FALSE(validateJson("\"\\ud83d\""));
+    EXPECT_FALSE(validateJson("\"\\ude00\""));
+    EXPECT_FALSE(validateJson("\"\\ud83d\\u0041\""));
+    EXPECT_FALSE(validateJson("\"\\u12g4\""));
+    // Numbers outside the RFC 8259 grammar.
+    for (const char *bad : {"01", "+1", ".5", "1.", "1e", "-", "0x10"})
+        EXPECT_FALSE(validateJson(bad)) << bad;
 }
 
 TEST(ValidateJson, DepthLimitStopsPathologicalNesting)
@@ -323,6 +340,93 @@ TEST(ValidateJson, DepthLimitStopsPathologicalNesting)
     std::string deep(200, '[');
     deep += std::string(200, ']');
     EXPECT_FALSE(validateJson(deep));
+    // The cap: 64 levels below the top-level value.
+    auto nested = [](int n) {
+        return std::string(n, '[') + std::string(n, ']');
+    };
+    EXPECT_TRUE(validateJson(nested(kJsonMaxDepth + 1)));
+    EXPECT_FALSE(validateJson(nested(kJsonMaxDepth + 2)));
+}
+
+TEST(ValidateJson, ValueLimitStopsPathologicalWidth)
+{
+    // An array holding n zeros is n + 1 values.
+    auto zeros = [](std::size_t n) {
+        std::string doc = "[0";
+        for (std::size_t i = 1; i < n; ++i)
+            doc += ",0";
+        return doc + "]";
+    };
+    EXPECT_TRUE(validateJson(zeros(kJsonMaxValues - 1)));
+    EXPECT_FALSE(validateJson(zeros(kJsonMaxValues)));
+}
+
+TEST(JsonReader, KeepsMemberOrderAndFindsMembers)
+{
+    JsonValue doc;
+    ASSERT_TRUE(parseJson("{\"b\": 1, \"a\": [true, null], \"c\": {}}", doc));
+    ASSERT_EQ(doc.members().size(), 3u);
+    EXPECT_EQ(doc.members()[0].key, "b");
+    EXPECT_EQ(doc.members()[1].key, "a");
+    EXPECT_EQ(doc["a"].items().size(), 2u);
+    EXPECT_TRUE(doc["c"].isObject());
+    EXPECT_EQ(doc.find("missing"), nullptr);
+    // A missing member reads as null all the way down.
+    std::string text;
+    EXPECT_FALSE(doc["missing"]["deeper"].getString(text));
+    EXPECT_FALSE(doc["missing"].isObject());
+}
+
+TEST(JsonReader, DecodesEscapesToUtf8)
+{
+    JsonValue doc;
+    std::string text;
+    ASSERT_TRUE(parseJson(
+        "\"\\u0041\\u00e9\\u20ac\\ud83d\\ude00\\u0000\\/\\b\\f\\n\\r\\t\"",
+        doc));
+    ASSERT_TRUE(doc.getString(text));
+    EXPECT_EQ(text, std::string("A\xc3\xa9\xe2\x82\xac\xf0\x9f\x98\x80") +
+                        std::string(1, '\0') + "/\b\f\n\r\t");
+}
+
+TEST(JsonReader, NumbersReadExactly)
+{
+    JsonValue doc;
+    std::uint64_t u = 0;
+    double d = 0.0;
+    ASSERT_TRUE(parseJson("18446744073709551615", doc));
+    EXPECT_TRUE(doc.getU64(u));
+    EXPECT_EQ(u, 18446744073709551615ull);
+    ASSERT_TRUE(parseJson("18446744073709551616", doc));
+    EXPECT_FALSE(doc.getU64(u)); // overflow refused
+    EXPECT_TRUE(doc.getDouble(d));
+    for (const char *not_unsigned : {"-1", "1.0", "1e3", "-0"}) {
+        ASSERT_TRUE(parseJson(not_unsigned, doc)) << not_unsigned;
+        EXPECT_FALSE(doc.getU64(u)) << not_unsigned;
+        EXPECT_TRUE(doc.getDouble(d)) << not_unsigned;
+    }
+    ASSERT_TRUE(parseJson("-2.5e-3", doc));
+    EXPECT_TRUE(doc.getDouble(d));
+    EXPECT_DOUBLE_EQ(d, -2.5e-3);
+    ASSERT_TRUE(parseJson("1e999", doc));
+    EXPECT_FALSE(doc.getDouble(d)); // outside double range
+    ASSERT_TRUE(parseJson("\"7\"", doc));
+    EXPECT_FALSE(doc.getU64(u)); // a string is not a number
+}
+
+TEST(JsonQuote, RoundTripsEveryByte)
+{
+    std::string all;
+    for (int c = 0; c < 256; ++c)
+        all.push_back(static_cast<char>(c));
+    std::string quoted = jsonQuote(all);
+    EXPECT_NE(quoted.find("\\u001f"), std::string::npos);
+    EXPECT_NE(quoted.find("\\\""), std::string::npos);
+    JsonValue doc;
+    std::string decoded;
+    ASSERT_TRUE(parseJson(quoted, doc));
+    ASSERT_TRUE(doc.getString(decoded));
+    EXPECT_EQ(decoded, all);
 }
 
 // ====================================================================
@@ -366,6 +470,36 @@ TEST(ManifestRender, EscapesStringFields)
     EXPECT_TRUE(validateJson(json));
     EXPECT_NE(json.find("\\\"quote\\\""), std::string::npos);
     EXPECT_EQ(json.find("\nnewline"), std::string::npos);
+}
+
+TEST(ManifestSchema, NamesEveryDefect)
+{
+    Manifest manifest = sampleManifest();
+    JsonValue doc;
+    ASSERT_TRUE(parseJson(renderManifest(manifest), doc));
+    std::vector<std::string> defects = manifestSchemaErrors(doc);
+    // sampleManifest() records only part of the totals and rejected
+    // breakdown.
+    EXPECT_EQ(defects.size(), 5u);
+    EXPECT_NE(std::find(defects.begin(), defects.end(),
+                        "totals block lacks 'misses'"),
+              defects.end());
+
+    manifest.totals = {{"entries", 1}, {"hits", 0}, {"misses", 1},
+                       {"simulations", 1}, {"saves", 1}};
+    manifest.rejected = {{"corrupt", 0}, {"stale_version", 0},
+                         {"fingerprint_mismatch", 0},
+                         {"orphaned_temp", 0}};
+    ASSERT_TRUE(parseJson(renderManifest(manifest), doc));
+    EXPECT_TRUE(manifestSchemaErrors(doc).empty());
+
+    manifest.config_fingerprint = "00FF00FF00FF00FF";
+    ASSERT_TRUE(parseJson(renderManifest(manifest), doc));
+    EXPECT_EQ(manifestSchemaErrors(doc),
+              std::vector<std::string>{
+                  "config_fingerprint is not a 16-hex digest"});
+    ASSERT_TRUE(parseJson("[]", doc));
+    EXPECT_FALSE(manifestSchemaErrors(doc).empty());
 }
 
 TEST(ManifestWrite, RoundTripsThroughDisk)

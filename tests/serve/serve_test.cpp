@@ -172,9 +172,10 @@ TEST(ShardedStore, ParallelMixedTrafficMatchesSerialStoreBytes)
 }
 
 // Every entry must land in the shard its fingerprint's top nibble
-// names, and a pre-shard flat-layout entry left in the store root
-// must still load (legacy fallback).
-TEST(ShardedStore, EntriesLandInFingerprintShardAndLegacyRootLoads)
+// names, and loads look nowhere else: a pre-shard flat-layout entry
+// left in the store root is a miss (the store is a cache; the pair is
+// simply simulated again).
+TEST(ShardedStore, EntriesLandInFingerprintShardAndLegacyRootMisses)
 {
     const std::string dir = storeDir("layout");
     const uarch::SimulationConfig window = tinyWindow();
@@ -197,8 +198,9 @@ TEST(ShardedStore, EntriesLandInFingerprintShardAndLegacyRootLoads)
     }
     core::CampaignStore reopened(dir);
     uarch::SimulationResult result;
-    EXPECT_EQ(reopened.load(key, result), core::StoreStatus::Hit);
-    EXPECT_EQ(reopened.counters().hits, 1u);
+    EXPECT_EQ(reopened.load(key, result), core::StoreStatus::Miss);
+    EXPECT_EQ(reopened.counters().hits, 0u);
+    EXPECT_EQ(reopened.counters().misses, 1u);
     std::filesystem::remove_all(dir);
 }
 
@@ -372,6 +374,13 @@ TEST(Protocol, ResponseRoundTripsAndRejectsMalformed)
     EXPECT_FALSE(
         serve::decodeRequest("{\"op\": \"stats\"} trailing", request,
                              error));
+    // A duplicate key has no single meaning: refuse, never last-wins.
+    EXPECT_FALSE(serve::decodeRequest(
+        "{\"op\": \"stats\", \"op\": \"shutdown\"}", request, error));
+    // A raw control character is not JSON, even inside a string.
+    EXPECT_FALSE(serve::decodeRequest(
+        "{\"op\": \"characterize\", \"benchmarks\": [\"505.mcf\n_r\"]}",
+        request, error));
 }
 
 // A daemon answer must be byte-identical to direct query-op

@@ -386,8 +386,8 @@ TEST(MachinesTest, AllConfigsConstructSimulatableStructures)
     for (const auto &m : profilingMachines()) {
         EXPECT_NO_THROW(uarch::CacheHierarchy{m.caches}) << m.name;
         EXPECT_NO_THROW(uarch::TlbHierarchy{m.tlbs}) << m.name;
-        EXPECT_NO_THROW(
-            uarch::makePredictor(m.predictor, m.predictor_size_log2))
+        EXPECT_NO_THROW(uarch::makePredictorVariant(
+            m.predictor, m.predictor_size_log2))
             << m.name;
     }
 }

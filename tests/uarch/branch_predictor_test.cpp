@@ -6,9 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
 #include <tuple>
 #include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "stats/rng.h"
@@ -21,17 +21,21 @@ namespace {
 /** Misprediction rate of @p predictor on a generated stream. */
 template <typename NextOutcome>
 double
-mispredictionRate(BranchPredictor &predictor, NextOutcome next, int n)
+mispredictionRate(PredictorVariant &predictor, NextOutcome next, int n)
 {
-    int mispredictions = 0;
-    for (int i = 0; i < n; ++i) {
-        auto [id, taken] = next(i);
-        bool predicted = predictor.predict(0, id);
-        if (predicted != taken)
-            ++mispredictions;
-        predictor.update(0, id, taken);
-    }
-    return static_cast<double>(mispredictions) / n;
+    return std::visit(
+        [&](auto &concrete) {
+            int mispredictions = 0;
+            for (int i = 0; i < n; ++i) {
+                auto [id, taken] = next(i);
+                bool predicted = concrete.predict(0, id);
+                if (predicted != taken)
+                    ++mispredictions;
+                concrete.update(0, id, taken);
+            }
+            return static_cast<double>(mispredictions) / n;
+        },
+        predictor);
 }
 
 std::vector<PredictorKind>
@@ -45,14 +49,13 @@ allKinds()
 class PredictorKindTest : public ::testing::TestWithParam<PredictorKind>
 {
   protected:
-    std::unique_ptr<BranchPredictor> predictor_ =
-        makePredictor(GetParam(), 12);
+    PredictorVariant predictor_ = makePredictorVariant(GetParam(), 12);
 };
 
 TEST_P(PredictorKindTest, LearnsAlwaysTaken)
 {
     double rate = mispredictionRate(
-        *predictor_,
+        predictor_,
         [](int) { return std::pair<std::uint32_t, bool>{7, true}; },
         20000);
     EXPECT_LT(rate, 0.01) << predictorKindName(GetParam());
@@ -61,7 +64,7 @@ TEST_P(PredictorKindTest, LearnsAlwaysTaken)
 TEST_P(PredictorKindTest, LearnsAlwaysNotTakenExceptStatic)
 {
     double rate = mispredictionRate(
-        *predictor_,
+        predictor_,
         [](int) { return std::pair<std::uint32_t, bool>{9, false}; },
         20000);
     if (GetParam() == PredictorKind::StaticTaken)
@@ -74,7 +77,7 @@ TEST_P(PredictorKindTest, RandomStreamIsHalfWrong)
 {
     stats::Rng rng(5);
     double rate = mispredictionRate(
-        *predictor_,
+        predictor_,
         [&rng](int) {
             return std::pair<std::uint32_t, bool>{3, rng.bernoulli(0.5)};
         },
@@ -88,7 +91,7 @@ TEST_P(PredictorKindTest, SeparatesManyBiasedBranches)
     if (GetParam() == PredictorKind::StaticTaken)
         GTEST_SKIP();
     double rate = mispredictionRate(
-        *predictor_,
+        predictor_,
         [](int i) {
             std::uint32_t id = static_cast<std::uint32_t>(i) % 64;
             return std::pair<std::uint32_t, bool>{id, id % 2 == 0};
@@ -118,12 +121,13 @@ TEST(PredictorHistoryTest, HistoryPredictorsLearnAlternation)
     for (PredictorKind kind :
          {PredictorKind::Gshare, PredictorKind::Tournament,
           PredictorKind::Perceptron, PredictorKind::TageLite}) {
-        auto predictor = makePredictor(kind, 12);
-        double rate = mispredictionRate(*predictor, alternating, 20000);
+        PredictorVariant predictor = makePredictorVariant(kind, 12);
+        double rate = mispredictionRate(predictor, alternating, 20000);
         EXPECT_LT(rate, 0.02) << predictorKindName(kind);
     }
-    auto bimodal = makePredictor(PredictorKind::Bimodal, 12);
-    double bimodal_rate = mispredictionRate(*bimodal, alternating, 20000);
+    PredictorVariant bimodal =
+        makePredictorVariant(PredictorKind::Bimodal, 12);
+    double bimodal_rate = mispredictionRate(bimodal, alternating, 20000);
     EXPECT_GT(bimodal_rate, 0.4);
 }
 
@@ -135,53 +139,16 @@ TEST(PredictorHistoryTest, PatternOfPeriodFour)
         static const bool p[4] = {true, true, false, true};
         return std::pair<std::uint32_t, bool>{2, p[i % 4]};
     };
-    auto bimodal = makePredictor(PredictorKind::Bimodal, 12);
-    auto tage = makePredictor(PredictorKind::TageLite, 12);
-    auto gshare = makePredictor(PredictorKind::Gshare, 12);
-    double bimodal_rate = mispredictionRate(*bimodal, pattern, 30000);
-    double tage_rate = mispredictionRate(*tage, pattern, 30000);
-    double gshare_rate = mispredictionRate(*gshare, pattern, 30000);
+    PredictorVariant bimodal =
+        makePredictorVariant(PredictorKind::Bimodal, 12);
+    PredictorVariant tage = makePredictorVariant(PredictorKind::TageLite, 12);
+    PredictorVariant gshare = makePredictorVariant(PredictorKind::Gshare, 12);
+    double bimodal_rate = mispredictionRate(bimodal, pattern, 30000);
+    double tage_rate = mispredictionRate(tage, pattern, 30000);
+    double gshare_rate = mispredictionRate(gshare, pattern, 30000);
     EXPECT_GT(bimodal_rate, 0.15);
     EXPECT_LT(tage_rate, 0.05);
     EXPECT_LT(gshare_rate, 0.05);
-}
-
-/**
- * The playback loop dispatches through PredictorVariant instead of the
- * virtual interface; both factories must build behaviourally identical
- * predictors.  Drive a mixed stream of biased, alternating and random
- * branches through both paths in lock-step and require the prediction
- * to agree at every single step.
- */
-TEST(PredictorDispatchTest, VariantMatchesVirtualInterfaceStepByStep)
-{
-    for (PredictorKind kind : allKinds()) {
-        auto virt = makePredictor(kind, 12);
-        PredictorVariant variant = makePredictorVariant(kind, 12);
-        std::visit(
-            [&](auto &concrete) {
-                stats::Rng rng(17);
-                for (int i = 0; i < 20000; ++i) {
-                    std::uint64_t pc =
-                        0x400000 + (static_cast<std::uint64_t>(i) % 777)
-                        * 4;
-                    std::uint32_t id =
-                        static_cast<std::uint32_t>(i) % 97;
-                    // Mix of strongly biased, alternating and noisy
-                    // branches keeps every component table exercised.
-                    bool taken = id % 3 == 0   ? true
-                                 : id % 3 == 1 ? i % 2 == 0
-                                               : rng.bernoulli(0.5);
-                    bool virtual_prediction = virt->predict(pc, id);
-                    bool direct_prediction = concrete.predict(pc, id);
-                    ASSERT_EQ(virtual_prediction, direct_prediction)
-                        << predictorKindName(kind) << " step " << i;
-                    virt->update(pc, id, taken);
-                    concrete.update(pc, id, taken);
-                }
-            },
-            variant);
-    }
 }
 
 /**
@@ -280,11 +247,15 @@ TEST(PredictorDispatchTest, VariantReportsSameName)
 
 TEST(PredictorFactoryTest, NamesAndCreation)
 {
-    for (PredictorKind kind : allKinds()) {
-        auto predictor = makePredictor(kind, 10);
-        ASSERT_NE(predictor, nullptr);
-        EXPECT_EQ(predictor->name(), predictorKindName(kind));
-    }
+    // The variant lists the concrete types in PredictorKind order, and
+    // every kind builds at the smallest and largest sizes in use.
+    for (PredictorKind kind : allKinds())
+        for (unsigned size_log2 : {1u, 10u, 16u}) {
+            PredictorVariant predictor =
+                makePredictorVariant(kind, size_log2);
+            EXPECT_EQ(predictor.index(), static_cast<std::size_t>(kind))
+                << predictorKindName(kind) << " size " << size_log2;
+        }
 }
 
 TEST(PredictorFactoryTest, KindNames)

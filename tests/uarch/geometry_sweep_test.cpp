@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <tuple>
+#include <type_traits>
+#include <variant>
 
 #include "stats/rng.h"
 #include "uarch/branch_predictor.h"
@@ -74,22 +76,29 @@ TEST_P(PredictorCapacitySweep, BiggerTablesNeverClearlyWorse)
 {
     // Many distinct biased branches: small tables alias, large tables
     // separate them.
-    auto small_predictor = makePredictor(GetParam(), 6);
-    auto large_predictor = makePredictor(GetParam(), 14);
+    PredictorVariant small_variant = makePredictorVariant(GetParam(), 6);
+    PredictorVariant large_variant = makePredictorVariant(GetParam(), 14);
 
     stats::Rng rng(43);
     int small_misses = 0, large_misses = 0;
     const int n = 60000;
-    for (int i = 0; i < n; ++i) {
-        auto id = static_cast<std::uint32_t>(rng.below(2048));
-        bool taken = (id % 2) == 0;
-        if (small_predictor->predict(0, id) != taken)
-            ++small_misses;
-        small_predictor->update(0, id, taken);
-        if (large_predictor->predict(0, id) != taken)
-            ++large_misses;
-        large_predictor->update(0, id, taken);
-    }
+    std::visit(
+        [&](auto &small_predictor) {
+            auto &large_predictor =
+                std::get<std::decay_t<decltype(small_predictor)>>(
+                    large_variant);
+            for (int i = 0; i < n; ++i) {
+                auto id = static_cast<std::uint32_t>(rng.below(2048));
+                bool taken = (id % 2) == 0;
+                if (small_predictor.predict(0, id) != taken)
+                    ++small_misses;
+                small_predictor.update(0, id, taken);
+                if (large_predictor.predict(0, id) != taken)
+                    ++large_misses;
+                large_predictor.update(0, id, taken);
+            }
+        },
+        small_variant);
     // Allow a little noise; the large predictor must not lose by more
     // than 1% absolute.
     EXPECT_LE(large_misses, small_misses + n / 100)

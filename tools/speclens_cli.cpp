@@ -31,7 +31,6 @@
  */
 
 #include <atomic>
-#include <cctype>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -52,6 +51,7 @@
 #include "core/query_ops.h"
 #include "core/service_context.h"
 #include "obs/export.h"
+#include "obs/json.h"
 #include "obs/manifest.h"
 #include "core/phase_analysis.h"
 #include "core/suite_report.h"
@@ -726,23 +726,19 @@ cmdCampaignManifest(const CliOptions &opts)
     }
     std::string text((std::istreambuf_iterator<char>(file)),
                      std::istreambuf_iterator<char>());
-    if (!obs::validateJson(text)) {
+    obs::JsonValue doc;
+    if (!obs::parseJson(text, doc)) {
         std::fprintf(stderr,
                      "error: %s is not well-formed JSON\n",
                      path.c_str());
         return 1;
     }
-    for (const char *key :
-         {"\"manifest_version\"", "\"engine_version\"",
-          "\"config_fingerprint\"", "\"run\"", "\"totals\"",
-          "\"rejected\"", "\"metrics\""}) {
-        if (text.find(key) == std::string::npos) {
-            std::fprintf(stderr,
-                         "error: manifest %s lacks required key %s\n",
-                         path.c_str(), key);
-            return 1;
-        }
-    }
+    std::vector<std::string> defects = obs::manifestSchemaErrors(doc);
+    for (const std::string &defect : defects)
+        std::fprintf(stderr, "error: manifest %s: %s\n", path.c_str(),
+                     defect.c_str());
+    if (!defects.empty())
+        return 1;
     std::printf("manifest %s: well-formed JSON, schema v1 keys "
                 "present (%zu bytes)\n",
                 path.c_str(), text.size());
@@ -920,27 +916,6 @@ highestBenchPr(const std::filesystem::path &dir)
 }
 
 /**
- * Pull the number following `"key":` out of @p text (enough JSON for
- * the BENCH_* artifacts we write ourselves, v1 and v2 alike).
- */
-bool
-jsonNumberField(const std::string &text, const std::string &key,
-                double &out, std::size_t from = 0)
-{
-    std::string needle = "\"" + key + "\":";
-    std::size_t pos = text.find(needle, from);
-    if (pos == std::string::npos)
-        return false;
-    pos += needle.size();
-    while (pos < text.size() &&
-           std::isspace(static_cast<unsigned char>(text[pos])))
-        ++pos;
-    char *end = nullptr;
-    out = std::strtod(text.c_str() + pos, &end);
-    return end != text.c_str() + pos;
-}
-
-/**
  * Print a previous-vs-current delta table to stderr (never stdout:
  * rates are timing-dependent, and stdout stays byte-deterministic).
  * Parses both schema v1 (no speedup_vs_seed) and v2 artifacts.
@@ -954,16 +929,15 @@ printTrajectoryDelta(const std::string &prev_path,
         return;
     std::string text((std::istreambuf_iterator<char>(in)),
                      std::istreambuf_iterator<char>());
-    // Rates live in the campaign block; searching from there skips the
-    // v2 seed_baseline object, whose fields share these key names.
-    std::size_t campaign = text.find("\"campaign\"");
-    if (campaign == std::string::npos)
-        campaign = 0;
+    // Rates live in the campaign block; the v2 seed_baseline block
+    // reuses these key names.  A malformed file parses to null, whose
+    // fields are all absent.
+    obs::JsonValue doc;
+    obs::parseJson(text, doc);
+    const obs::JsonValue &campaign = doc["campaign"];
     double prev_sims = 0.0, prev_records = 0.0;
-    if (!jsonNumberField(text, "simulations_per_second", prev_sims,
-                         campaign) ||
-        !jsonNumberField(text, "records_per_second", prev_records,
-                         campaign) ||
+    if (!campaign["simulations_per_second"].getDouble(prev_sims) ||
+        !campaign["records_per_second"].getDouble(prev_records) ||
         prev_sims <= 0.0 || prev_records <= 0.0) {
         std::fprintf(stderr,
                      "[speclens-bench] no rates in %s; delta skipped\n",
@@ -981,7 +955,7 @@ printTrajectoryDelta(const std::string &prev_path,
                  prev_records, r.records_per_second,
                  (r.records_per_second / prev_records - 1.0) * 100.0);
     double prev_seed = 0.0;
-    if (jsonNumberField(text, "speedup_vs_seed", prev_seed) &&
+    if (campaign["speedup_vs_seed"].getDouble(prev_seed) &&
         prev_seed > 0.0)
         std::fprintf(stderr,
                      "  speedup_vs_seed: %.3fx -> %.3fx\n", prev_seed,
