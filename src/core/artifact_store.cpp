@@ -6,7 +6,6 @@
 #include "artifact_store.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -352,15 +351,6 @@ serializePhasedEntry(const StoreKey &key,
     return finishEntry(key, payload);
 }
 
-std::string
-fingerprintHex(std::uint64_t fingerprint)
-{
-    char buffer[17];
-    std::snprintf(buffer, sizeof(buffer), "%016llx",
-                  static_cast<unsigned long long>(fingerprint));
-    return std::string(buffer);
-}
-
 /** Read a whole file; false on any I/O failure. */
 bool
 readFile(const std::string &path, std::string &out)
@@ -453,9 +443,9 @@ verifyEntry(const std::string &bytes, std::uint64_t expect_fingerprint,
                         " != " + std::to_string(kStoreEngineVersion));
     if (fingerprint != expect_fingerprint)
         return fail(StoreStatus::FingerprintMismatch,
-                    "header fingerprint " + fingerprintHex(fingerprint) +
+                    "header fingerprint " + obs::hex16(fingerprint) +
                         " != expected " +
-                        fingerprintHex(expect_fingerprint));
+                        obs::hex16(expect_fingerprint));
 
     // Kind agreement: a checksum-valid entry of the wrong kind under
     // the requested address can only be manual tampering (the kind is
@@ -668,7 +658,7 @@ std::string
 CampaignStore::entryPath(const StoreKey &key) const
 {
     return shardPath(storeShardIndex(key.fingerprint)) + "/" +
-           fingerprintHex(key.fingerprint) + kStoreEntrySuffix;
+           obs::hex16(key.fingerprint) + kStoreEntrySuffix;
 }
 
 std::unique_lock<std::mutex>

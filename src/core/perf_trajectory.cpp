@@ -13,6 +13,7 @@
 
 #include "core/analysis_session.h"
 #include "core/characterization.h"
+#include "obs/manifest.h"
 #include "stats/distance.h"
 #include "stats/fingerprint.h"
 #include "stats/pca.h"
@@ -31,66 +32,6 @@ double
 secondsSince(Clock::time_point start)
 {
     return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-/**
- * Feed every field of one simulation result — all event counts plus
- * every derived double by IEEE-754 bit pattern — so the campaign
- * fingerprint changes if any result changes in any bit.
- */
-void
-hashResult(stats::Fingerprinter &fp, const uarch::SimulationResult &r)
-{
-    const uarch::PerfCounters &c = r.counters;
-    fp.u64(c.instructions);
-    fp.u64(c.loads);
-    fp.u64(c.stores);
-    fp.u64(c.branches);
-    fp.u64(c.taken_branches);
-    fp.u64(c.fp_ops);
-    fp.u64(c.simd_ops);
-    fp.u64(c.kernel_instructions);
-    fp.u64(c.l1d_accesses);
-    fp.u64(c.l1d_misses);
-    fp.u64(c.l1i_accesses);
-    fp.u64(c.l1i_misses);
-    fp.u64(c.l2d_accesses);
-    fp.u64(c.l2d_misses);
-    fp.u64(c.l2i_accesses);
-    fp.u64(c.l2i_misses);
-    fp.u64(c.l3_accesses);
-    fp.u64(c.l3_misses);
-    fp.u64(c.dtlb_accesses);
-    fp.u64(c.dtlb_misses);
-    fp.u64(c.itlb_accesses);
-    fp.u64(c.itlb_misses);
-    fp.u64(c.l2tlb_misses);
-    fp.u64(c.page_walks);
-    fp.u64(c.branch_mispredictions);
-    fp.u64(c.prefetch_fills);
-    fp.u64(c.prefetch_useful);
-    fp.u64(c.prefetch_evicted_unused);
-    fp.u64(c.way_pred_hits);
-    fp.u64(c.way_pred_mispredicts);
-    fp.u64(c.dram_accesses);
-    fp.u64(c.dram_row_hits);
-    fp.u64(c.dram_busy_cycles);
-    fp.u64(c.dram_budget_cycles);
-    for (double v : r.cpi_stack.components())
-        fp.f64(v);
-    fp.f64(r.power.core_watts);
-    fp.f64(r.power.llc_watts);
-    fp.f64(r.power.dram_watts);
-}
-
-/** 16-hex-digit rendering shared with the artifact store's file names. */
-std::string
-hex16(std::uint64_t value)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  static_cast<unsigned long long>(value));
-    return buf;
 }
 
 /** Finite double as a JSON number ("%.9g"; non-finite clamps to 0). */
@@ -133,7 +74,7 @@ runTrajectory(const TrajectoryConfig &config)
                    // is the artifact, so parallelism would hide the
                    // per-simulation cost the trajectory tracks.
 
-    // -- Stage 1: fused streaming campaign (the shipped pipeline). --
+    // -- Stage 1: the campaign. --
     Characterizer fused(machines, ccfg);
     Clock::time_point t0 = Clock::now();
     fused.prepare(benchmarks, /*jobs=*/1);
@@ -156,32 +97,10 @@ runTrajectory(const TrajectoryConfig &config)
     campaign_fp.tag("speclens-campaign-results-v1");
     for (const suites::BenchmarkInfo &b : benchmarks)
         for (std::size_t m = 0; m < machines.size(); ++m)
-            hashResult(campaign_fp, fused.simulation(b, m));
+            fused.simulation(b, m).hashInto(campaign_fp);
     out.campaign_fingerprint = campaign_fp.value();
 
-    // -- Stage 2: materialized-window baseline, then parity check. --
-    uarch::SimulationConfig sim = ccfg.simulationConfig();
-    std::vector<uarch::SimulationResult> materialized;
-    materialized.reserve(benchmarks.size() * machines.size());
-    t0 = Clock::now();
-    for (const suites::BenchmarkInfo &b : benchmarks)
-        for (const uarch::MachineConfig &machine : machines)
-            materialized.push_back(
-                uarch::simulateMaterialized(b.profile, machine, sim));
-    out.materialized_seconds = secondsSince(t0);
-    if (out.fused_seconds > 0.0)
-        out.speedup_vs_materialized =
-            out.materialized_seconds / out.fused_seconds;
-
-    out.parity_bit_identical = true;
-    std::size_t pair = 0;
-    for (const suites::BenchmarkInfo &b : benchmarks)
-        for (std::size_t m = 0; m < machines.size(); ++m)
-            if (!uarch::bitIdentical(materialized[pair++],
-                                     fused.simulation(b, m)))
-                out.parity_bit_identical = false;
-
-    // -- Stage 3: stats pipeline over the campaign's feature matrix. --
+    // -- Stage 2: stats pipeline over the campaign's feature matrix. --
     t0 = Clock::now();
     stats::Matrix features = fused.featureMatrix(benchmarks);
     stats::PcaResult pca = stats::fitPca(features);
@@ -205,7 +124,7 @@ runTrajectory(const TrajectoryConfig &config)
         stats_fp.f64(v);
     out.stats_fingerprint = stats_fp.value();
 
-    // -- Stage 4: artifact-store reuse proof (optional). --
+    // -- Stage 3: artifact-store reuse proof (optional). --
     if (!config.store_dir.empty()) {
         out.store_checked = true;
         SessionConfig scfg;
@@ -254,12 +173,10 @@ renderTrajectoryFacts(const TrajectoryResult &r)
        << " seed_salt=" << r.config.seed_salt << " jobs=1\n";
     os << "campaign: simulations=" << r.simulations
        << " records=" << r.records_total
-       << " fingerprint=" << hex16(r.campaign_fingerprint) << "\n";
-    os << "parity: fused-vs-materialized bit-identical: "
-       << yesNo(r.parity_bit_identical) << "\n";
+       << " fingerprint=" << obs::hex16(r.campaign_fingerprint) << "\n";
     os << "stats: rows=" << r.feature_rows << " cols=" << r.feature_cols
        << " pca_retained=" << r.pca_retained
-       << " fingerprint=" << hex16(r.stats_fingerprint) << "\n";
+       << " fingerprint=" << obs::hex16(r.stats_fingerprint) << "\n";
     if (r.store_checked)
         os << "store: warm rerun simulations=" << r.warm_simulations_run
            << " bit-identical: " << yesNo(r.warm_bit_identical) << "\n";
@@ -273,7 +190,7 @@ renderTrajectoryJson(const TrajectoryResult &r)
 {
     std::ostringstream os;
     os << "{\n";
-    os << "  \"schema\": \"speclens-bench-trajectory-v2\",\n";
+    os << "  \"schema\": \"speclens-bench-trajectory-v3\",\n";
     os << "  \"pr\": " << r.config.pr << ",\n";
     os << "  \"seed_baseline\": {\n";
     os << "    \"records_per_second\": "
@@ -295,21 +212,15 @@ renderTrajectoryJson(const TrajectoryResult &r)
     os << "    \"records_per_simulation\": " << r.records_per_simulation
        << ",\n";
     os << "    \"records_total\": " << r.records_total << ",\n";
-    os << "    \"fingerprint\": \"" << hex16(r.campaign_fingerprint)
+    os << "    \"fingerprint\": \"" << obs::hex16(r.campaign_fingerprint)
        << "\",\n";
     os << "    \"fused_seconds\": " << jsonNumber(r.fused_seconds) << ",\n";
-    os << "    \"materialized_seconds\": "
-       << jsonNumber(r.materialized_seconds) << ",\n";
-    os << "    \"speedup_vs_materialized\": "
-       << jsonNumber(r.speedup_vs_materialized) << ",\n";
     os << "    \"speedup_vs_seed\": " << jsonNumber(r.speedup_vs_seed)
        << ",\n";
     os << "    \"simulations_per_second\": "
        << jsonNumber(r.simulations_per_second) << ",\n";
     os << "    \"records_per_second\": " << jsonNumber(r.records_per_second)
-       << ",\n";
-    os << "    \"parity_bit_identical\": "
-       << (r.parity_bit_identical ? "true" : "false") << "\n";
+       << "\n";
     os << "  },\n";
     os << "  \"stats\": {\n";
     os << "    \"seconds\": " << jsonNumber(r.stats_seconds) << ",\n";
@@ -318,7 +229,8 @@ renderTrajectoryJson(const TrajectoryResult &r)
     os << "    \"pca_retained\": " << r.pca_retained << ",\n";
     os << "    \"pca_variance_covered\": "
        << jsonNumber(r.pca_variance_covered) << ",\n";
-    os << "    \"fingerprint\": \"" << hex16(r.stats_fingerprint) << "\"\n";
+    os << "    \"fingerprint\": \"" << obs::hex16(r.stats_fingerprint)
+       << "\"\n";
     os << "  },\n";
     os << "  \"store\": {\n";
     os << "    \"checked\": " << (r.store_checked ? "true" : "false");

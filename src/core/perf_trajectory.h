@@ -7,24 +7,25 @@
  * profiling machines, 150k measured + 40k warm-up instructions, seed
  * salt 0) and records what it measured: wall-clock per stage,
  * simulations/sec and records/sec for the fused streaming pipeline,
- * the slowdown of the materialized-window baseline, and the stats
- * stage (feature matrix, PCA, pairwise distances).  Committing the
- * emitted BENCH_<pr>.json per PR gives the repo a perf trajectory that
- * is diffable across PRs without re-running old binaries.
+ * the cumulative speedup over the seed baseline, and the stats stage
+ * (feature matrix, PCA, pairwise distances).  Committing the emitted
+ * BENCH_<pr>.json per PR gives the repo a perf trajectory that is
+ * diffable across PRs without re-running old binaries.
  *
  * Split contract so reruns are comparable:
  *  - renderTrajectoryFacts() — deterministic facts only (configuration,
- *    counts, result fingerprints, parity verdicts).  This is what the
- *    CLI prints to stdout, so a warm-store rerun's stdout is
+ *    counts, result fingerprints, the warm-reuse verdict).  This is
+ *    what the CLI prints to stdout, so a warm-store rerun's stdout is
  *    byte-identical to the cold run's.
  *  - renderTrajectoryJson() — facts plus timings.  Timings vary run to
  *    run, so they live only in the JSON artifact (and stderr), never
  *    on stdout.
  *
- * The run itself re-proves the two bit-identical contracts on every
- * invocation: fused-vs-materialized parity for every (benchmark,
- * machine) pair, and warm-store results equal to the cold campaign's
- * when a store directory is given.
+ * Result correctness is pinned by the campaign fingerprint (every
+ * counter and derived double of all 301 pairs) rather than by a second
+ * simulator: the parity tests hold the fused pipeline to a scalar
+ * reference.  When a store directory is given the run also re-proves
+ * that warm-store results equal the cold campaign's.
  */
 
 #ifndef SPECLENS_CORE_PERF_TRAJECTORY_H
@@ -48,9 +49,7 @@ constexpr std::uint64_t kTrajectoryWarmup = 40'000;
  * reference container (single thread, best of 3) by replaying the
  * seed commit's Characterizer over the same 43 x 7 / 150k+40k / salt 0
  * configuration.  Recorded as constants so every BENCH_<pr>.json can
- * report a cumulative `speedup_vs_seed` alongside the in-binary
- * `speedup_vs_materialized`, whose shared-win baseline understates
- * the trajectory (DESIGN.md §5e).
+ * report a cumulative `speedup_vs_seed` (DESIGN.md §5e).
  */
 constexpr double kSeedRecordsPerSecond = 8.221188e6;
 constexpr double kSeedSimulationsPerSecond = 43.269411;
@@ -93,8 +92,8 @@ struct TrajectoryResult
     /**
      * FNV-1a fingerprint over every simulation result in (benchmark,
      * machine) order — every counter and every derived double by bit
-     * pattern.  Identical across reruns, thread counts and the
-     * fused/materialized split; the headline determinism fact.
+     * pattern (SimulationResult::hashInto).  Identical across reruns
+     * and thread counts; the headline determinism fact.
      */
     std::uint64_t campaign_fingerprint = 0;
 
@@ -103,14 +102,8 @@ struct TrajectoryResult
     double simulations_per_second = 0.0;
     double records_per_second = 0.0;
 
-    // -- Materialized-window baseline (timed). --
-    double materialized_seconds = 0.0;
-    /** materialized / fused wall-clock ratio. */
-    double speedup_vs_materialized = 0.0;
     /** records_per_second / kSeedRecordsPerSecond (cumulative). */
     double speedup_vs_seed = 0.0;
-    /** Every pair bit-identical between the two pipelines. */
-    bool parity_bit_identical = false;
 
     // -- Stats stage (timed). --
     double stats_seconds = 0.0;
@@ -135,8 +128,8 @@ struct TrajectoryResult
 
 /**
  * Run the pinned campaign (CPU2017 x profiling machines, single
- * thread) through both pipelines plus the stats stage, verifying the
- * bit-identical contracts along the way.
+ * thread) plus the stats stage, and the warm-store reuse proof when
+ * a store directory is configured.
  */
 TrajectoryResult runTrajectory(const TrajectoryConfig &config);
 

@@ -19,19 +19,6 @@
 namespace speclens {
 namespace core {
 
-namespace {
-
-std::string
-hex16(std::uint64_t value)
-{
-    char buffer[17];
-    std::snprintf(buffer, sizeof(buffer), "%016llx",
-                  static_cast<unsigned long long>(value));
-    return std::string(buffer);
-}
-
-} // namespace
-
 ServiceContext::ServiceContext(ServiceConfig config)
     : config_(std::move(config)),
       cpu2017_(suites::spec2017()),
@@ -137,7 +124,7 @@ ServiceContext::fingerprintConfig(
     fp.u64(machines.size());
     for (const uarch::MachineConfig &machine : machines)
         machine.hashInto(fp);
-    config_fingerprint_ = hex16(fp.value());
+    config_fingerprint_ = obs::hex16(fp.value());
 }
 
 Characterizer &

@@ -1747,7 +1747,7 @@ struct BenchArtifact
     bool parsed = false;  //!< text is one well-formed JSON document.
     obs::JsonValue doc;   //!< The parsed document when parsed.
     std::uint64_t pr = 0; //!< From the file name.
-    int version = 0;      //!< 1 or 2; 0 when the schema is foreign.
+    int version = 0;      //!< 2 or 3; 0 when the schema is foreign.
 };
 
 /** Collect BENCH_<pr>.json artifacts under @p dir, name-sorted. */
@@ -1775,10 +1775,10 @@ collectBenchArtifacts(const std::string &dir)
             artifact.parsed = true;
             std::string schema;
             artifact.doc["schema"].getString(schema);
-            if (schema == "speclens-bench-trajectory-v1")
-                artifact.version = 1;
-            else if (schema == "speclens-bench-trajectory-v2")
+            if (schema == "speclens-bench-trajectory-v2")
                 artifact.version = 2;
+            else if (schema == "speclens-bench-trajectory-v3")
+                artifact.version = 3;
         }
         artifacts.push_back(std::move(artifact));
     }
@@ -1848,7 +1848,7 @@ class BenchSchemaRule final : public RuleBase
             a.doc["schema"].getString(schema);
             error(out, loc,
                   "unknown trajectory schema '" + schema + "'",
-                  "expected speclens-bench-trajectory-v1 or -v2");
+                  "expected speclens-bench-trajectory-v2 or -v3");
             return;
         }
         std::uint64_t pr = 0;
@@ -1880,25 +1880,40 @@ class BenchSchemaRule final : public RuleBase
             !obs::isHex16(fingerprint))
             error(out, loc,
                   "campaign fingerprint is not a 16-hex digest");
+        double fused = 0.0;
+        if (campaign["fused_seconds"].getDouble(fused) && !(fused > 0.0))
+            error(out, loc, "non-positive campaign timings");
+        if (a.version == 2)
+            checkMaterializedBaseline(loc, fused, campaign, out);
+        checkSeedBaseline(a, loc, campaign, out);
+    }
+
+    /**
+     * Only v2 artifacts carry a materialized-window baseline and its
+     * parity verdict.
+     */
+    void
+    checkMaterializedBaseline(const std::string &loc, double fused,
+                              const obs::JsonValue &campaign,
+                              std::vector<Diagnostic> &out) const
+    {
         bool parity = false;
         if (!campaign["parity_bit_identical"].getBool(parity) || !parity)
             error(out, loc,
                   "fused/materialized parity is not bit-identical",
                   "the streaming pipeline diverged from the "
                   "materialized baseline; never commit such a run");
-        double fused = 0.0, materialized = 0.0, speedup = 0.0;
-        if (campaign["fused_seconds"].getDouble(fused) &&
+        double materialized = 0.0, speedup = 0.0;
+        if (fused > 0.0 &&
             campaign["materialized_seconds"].getDouble(materialized) &&
             campaign["speedup_vs_materialized"].getDouble(speedup)) {
-            if (!(fused > 0.0) || !(materialized > 0.0))
+            if (!(materialized > 0.0))
                 error(out, loc, "non-positive campaign timings");
             else if (!nearRel(speedup, materialized / fused, 1e-6))
                 error(out, loc,
                       "speedup_vs_materialized does not equal "
                       "materialized_seconds / fused_seconds");
         }
-        if (a.version >= 2)
-            checkSeedBaseline(a, loc, campaign, out);
     }
 
     void
@@ -1908,7 +1923,7 @@ class BenchSchemaRule final : public RuleBase
     {
         const obs::JsonValue &baseline = a.doc["seed_baseline"];
         if (!baseline.isObject()) {
-            error(out, loc, "v2 artifact lacks a seed_baseline block");
+            error(out, loc, "artifact lacks a seed_baseline block");
             return;
         }
         double seed_rps = 0.0, seed_sps = 0.0;

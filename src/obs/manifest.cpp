@@ -103,6 +103,15 @@ isHex16(const std::string &text)
                std::string::npos;
 }
 
+std::string
+hex16(std::uint64_t value)
+{
+    char buffer[17];
+    std::snprintf(buffer, sizeof buffer, "%016llx",
+                  static_cast<unsigned long long>(value));
+    return buffer;
+}
+
 std::vector<std::string>
 manifestSchemaErrors(const JsonValue &document)
 {

@@ -75,6 +75,9 @@ std::string renderManifest(const Manifest &manifest);
 /** Lower-case 16-digit hex: the shape of every SpecLens fingerprint. */
 bool isHex16(const std::string &text);
 
+/** @p value rendered as lower-case 16-digit hex (isHex16 accepts it). */
+std::string hex16(std::uint64_t value);
+
 /**
  * Schema-v1 defects of a parsed manifest, one message each; empty when
  * @p document is a valid version-1 manifest.  The one schema check

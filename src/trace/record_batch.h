@@ -10,8 +10,7 @@
  * its own contiguous array, so the retirement-counting passes over a
  * batch are plain strided loops the compiler can vectorize.
  *
- * Field semantics are identical to trace::Instruction; instruction(i)
- * reconstructs the AoS record for adapters and tests.
+ * Field semantics are identical to trace::Instruction.
  */
 
 #ifndef SPECLENS_TRACE_RECORD_BATCH_H
@@ -54,20 +53,6 @@ struct RecordBatch
     bool kernel(std::size_t i) const
     {
         return (flags[i] & kKernelBit) != 0;
-    }
-
-    /** AoS view of record @p i, for adapters and tests. */
-    Instruction
-    instruction(std::size_t i) const
-    {
-        Instruction inst;
-        inst.pc = pc[i];
-        inst.op = op[i];
-        inst.address = address[i];
-        inst.branch_id = branch_id[i];
-        inst.taken = taken(i);
-        inst.kernel = kernel(i);
-        return inst;
     }
 };
 

@@ -100,21 +100,5 @@ TraceGenerator::fill(RecordBatch &batch, std::uint64_t count)
     return n;
 }
 
-std::vector<Instruction>
-TraceGenerator::generate(std::size_t count)
-{
-    std::vector<Instruction> out;
-    out.reserve(count);
-    RecordBatch batch;
-    std::size_t remaining = count;
-    while (remaining > 0) {
-        std::size_t n = fill(batch, remaining);
-        for (std::size_t i = 0; i < n; ++i)
-            out.push_back(batch.instruction(i));
-        remaining -= n;
-    }
-    return out;
-}
-
 } // namespace trace
 } // namespace speclens

@@ -12,8 +12,8 @@
 #ifndef SPECLENS_TRACE_TRACE_GENERATOR_H
 #define SPECLENS_TRACE_TRACE_GENERATOR_H
 
+#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "stats/rng.h"
 #include "trace/address_stream.h"
@@ -38,7 +38,11 @@ class TraceGenerator
     explicit TraceGenerator(const WorkloadProfile &profile,
                             std::uint64_t seed_salt = 0);
 
-    /** Generate the next dynamic instruction. */
+    /**
+     * Generate the next dynamic instruction.  The per-record form,
+     * used by the scalar reference simulator that the parity tests
+     * hold the batched pipeline to.
+     */
     Instruction next();
 
     /**
@@ -51,13 +55,6 @@ class TraceGenerator
      * primitive.
      */
     std::size_t fill(RecordBatch &batch, std::uint64_t count);
-
-    /**
-     * Generate @p count instructions into a vector.  Thin adapter over
-     * fill() kept for tests and the materialized baseline path; the
-     * stream is identical to the batched form by construction.
-     */
-    std::vector<Instruction> generate(std::size_t count);
 
     /** The profile this generator draws from. */
     const WorkloadProfile &profile() const { return profile_; }

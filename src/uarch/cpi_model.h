@@ -71,6 +71,9 @@ struct CpiStack
 
     /** Component values in display order. */
     std::vector<double> components() const;
+
+    /** Every component equal under exact floating-point comparison. */
+    bool operator==(const CpiStack &) const = default;
 };
 
 /**

@@ -178,6 +178,9 @@ struct PerfCounters
 
     /** Elementwise accumulate (merging simulation windows). */
     PerfCounters &operator+=(const PerfCounters &rhs);
+
+    /** Every event count equal. */
+    bool operator==(const PerfCounters &) const = default;
 };
 
 } // namespace uarch

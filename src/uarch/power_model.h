@@ -52,6 +52,9 @@ struct PowerBreakdown
     double dram_watts = 0.0;
 
     double total() const { return core_watts + llc_watts + dram_watts; }
+
+    /** Every rail equal under exact floating-point comparison. */
+    bool operator==(const PowerBreakdown &) const = default;
 };
 
 /**

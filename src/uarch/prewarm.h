@@ -93,8 +93,9 @@ class PrewarmSolver
      * The walking path: stream every LLC-resident line/page through
      * the hierarchy with exact run collapsing.  This is the semantic
      * definition of prewarm; apply() must reproduce its state bit for
-     * bit.  Shared by Playback::prewarm() (fallback) and the
-     * equivalence tests (reference side).
+     * bit.  Shared by Playback::prewarm() (fallback), the
+     * equivalence tests and the scalar reference simulator (reference
+     * side).
      */
     static void walk(CacheHierarchy &caches, TlbHierarchy &tlbs,
                      const trace::WorkloadProfile &profile,

@@ -36,6 +36,30 @@ SimulationResult::ipc() const
     return c > 0.0 ? 1.0 / c : 0.0;
 }
 
+void
+SimulationResult::hashInto(stats::Fingerprinter &fp) const
+{
+    const PerfCounters &c = counters;
+    for (std::uint64_t v :
+         {c.instructions, c.loads, c.stores, c.branches,
+          c.taken_branches, c.fp_ops, c.simd_ops,
+          c.kernel_instructions, c.l1d_accesses, c.l1d_misses,
+          c.l1i_accesses, c.l1i_misses, c.l2d_accesses, c.l2d_misses,
+          c.l2i_accesses, c.l2i_misses, c.l3_accesses, c.l3_misses,
+          c.dtlb_accesses, c.dtlb_misses, c.itlb_accesses,
+          c.itlb_misses, c.l2tlb_misses, c.page_walks,
+          c.branch_mispredictions, c.prefetch_fills, c.prefetch_useful,
+          c.prefetch_evicted_unused, c.way_pred_hits,
+          c.way_pred_mispredicts, c.dram_accesses, c.dram_row_hits,
+          c.dram_busy_cycles, c.dram_budget_cycles})
+        fp.u64(v);
+    for (double v : cpi_stack.components())
+        fp.f64(v);
+    fp.f64(power.core_watts);
+    fp.f64(power.llc_watts);
+    fp.f64(power.dram_watts);
+}
+
 namespace {
 
 /** Structure counters snapshot used to subtract warm-up windows. */
@@ -232,56 +256,7 @@ class Playback
             predictor_);
     }
 
-    /**
-     * Play a pre-materialized instruction vector (the pre-batching
-     * playback form).  Kept as the baseline side of the streaming-vs-
-     * materialized parity contract and of the `bench trajectory`
-     * speedup measurement; access order is identical to the fused
-     * path, so results are bit-identical.
-     */
-    void
-    playVector(const std::vector<trace::Instruction> &window,
-               PerfCounters *record)
-    {
-        std::visit(
-            [&](auto &predictor) {
-                if (record)
-                    playVectorLoop<true>(predictor, window, record);
-                else
-                    playVectorLoop<false>(predictor, window, nullptr);
-            },
-            predictor_);
-    }
-
   private:
-    /**
-     * Ordered structure pass over one record: I-side access, branch
-     * resolution, D-side access.  Shared by the fused and materialized
-     * loops so both apply the exact same access sequence.
-     * @return true when a branch record mispredicted.
-     */
-    template <typename Predictor>
-    bool
-    stepStructures(Predictor &predictor, std::uint64_t pc,
-                   trace::OpClass op, std::uint64_t address,
-                   std::uint32_t branch_id, bool taken)
-    {
-        caches_.accessInstr(pc);
-        tlbs_.accessInstr(pc);
-
-        bool mispredicted = false;
-        if (op == trace::OpClass::Branch) {
-            bool predicted = predictor.predict(pc, branch_id);
-            mispredicted = predicted != taken;
-            predictor.update(pc, branch_id, taken);
-        }
-        if (op == trace::OpClass::Load || op == trace::OpClass::Store) {
-            caches_.accessData(address, pc);
-            tlbs_.accessData(address);
-        }
-        return mispredicted;
-    }
-
     template <bool Record, typename Predictor>
     void
     playLoop(Predictor &predictor, trace::TraceGenerator &generator,
@@ -317,8 +292,8 @@ class Playback
         // when the line/page changes and counts the repeats, flushing
         // the run right before the next real probe.  Final counters
         // and replacement state are bit-identical to probing every
-        // record — the materialized baseline and the parity tests
-        // check exactly that.
+        // record — the parity tests check exactly that against a
+        // per-record scalar reference.
         constexpr std::uint64_t kNoRun = ~0ull;
         const unsigned i_line_shift = static_cast<unsigned>(
             std::countr_zero(std::uint64_t{caches_.instrLineBytes()}));
@@ -478,56 +453,6 @@ class Playback
         }
     }
 
-    template <bool Record, typename Predictor>
-    void
-    playVectorLoop(Predictor &predictor,
-                   const std::vector<trace::Instruction> &window,
-                   PerfCounters *record)
-    {
-        Snapshot start = capture(caches_, tlbs_);
-
-        std::uint64_t kernel = 0, loads = 0, stores = 0, fp_ops = 0;
-        std::uint64_t simd_ops = 0, branches = 0, taken_branches = 0;
-        std::uint64_t mispredictions = 0;
-
-        for (const trace::Instruction &inst : window) {
-            bool mispredicted =
-                stepStructures(predictor, inst.pc, inst.op, inst.address,
-                               inst.branch_id, inst.taken);
-
-            if constexpr (Record) {
-                kernel += inst.kernel ? 1 : 0;
-                switch (inst.op) {
-                  case trace::OpClass::Load: ++loads; break;
-                  case trace::OpClass::Store: ++stores; break;
-                  case trace::OpClass::FpAlu: ++fp_ops; break;
-                  case trace::OpClass::Simd: ++simd_ops; break;
-                  case trace::OpClass::Branch:
-                    ++branches;
-                    taken_branches += inst.taken ? 1 : 0;
-                    mispredictions += mispredicted ? 1 : 0;
-                    break;
-                  default:
-                    break;
-                }
-            }
-        }
-
-        if constexpr (Record) {
-            PerfCounters &c = *record;
-            c.instructions += window.size();
-            c.kernel_instructions += kernel;
-            c.loads += loads;
-            c.stores += stores;
-            c.fp_ops += fp_ops;
-            c.simd_ops += simd_ops;
-            c.branches += branches;
-            c.taken_branches += taken_branches;
-            c.branch_mispredictions += mispredictions;
-            addDelta(c, start, capture(caches_, tlbs_));
-        }
-    }
-
     CacheHierarchy caches_;
     TlbHierarchy tlbs_;
     PredictorVariant predictor_;
@@ -615,100 +540,11 @@ simulateAudited(const trace::WorkloadProfile &profile,
     return simulateFused(profile, machine, config, &trail);
 }
 
-SimulationResult
-simulateMaterialized(const trace::WorkloadProfile &profile,
-                     const MachineConfig &machine,
-                     const SimulationConfig &config)
-{
-    trace::WorkloadProfile effective =
-        config.apply_machine_transform
-            ? transformForMachine(profile, machine)
-            : profile;
-
-    trace::TraceGenerator generator(effective, config.seed_salt);
-    Playback playback(machine);
-#ifndef SPECLENS_AUDIT_OFF
-    verify::AuditTrail trail;
-    playback.attachAudit(&trail);
-#endif
-    if (config.prewarm) {
-        playback.prewarm(effective, machine, config.force_prewarm_walk);
-        playback.auditPoint(/*post_prewarm=*/true);
-    }
-
-    // Materialize both windows up front — the pre-batching memory
-    // profile this path exists to preserve.
-    std::vector<trace::Instruction> warmup =
-        generator.generate(static_cast<std::size_t>(config.warmup));
-    std::vector<trace::Instruction> measured =
-        generator.generate(static_cast<std::size_t>(config.instructions));
-
-    SimulationResult result;
-    playback.playVector(warmup, nullptr);
-    playback.retireUnusedPrefetches();
-    playback.playVector(measured, &result.counters);
-    playback.auditPoint(/*post_prewarm=*/false);
-#ifndef SPECLENS_AUDIT_OFF
-    reportImplicitAudit(trail);
-#endif
-
-    result.cpi_stack = computeCpiStack(result.counters,
-                                       machine.latencies,
-                                       effective.exec);
-    result.power = computePower(result.counters,
-                                result.cpi_stack.total(), machine.power);
-    return result;
-}
-
 bool
 bitIdentical(const SimulationResult &a, const SimulationResult &b)
 {
-    const PerfCounters &x = a.counters;
-    const PerfCounters &y = b.counters;
-    bool counters_equal =
-        x.instructions == y.instructions && x.loads == y.loads &&
-        x.stores == y.stores && x.branches == y.branches &&
-        x.taken_branches == y.taken_branches && x.fp_ops == y.fp_ops &&
-        x.simd_ops == y.simd_ops &&
-        x.kernel_instructions == y.kernel_instructions &&
-        x.l1d_accesses == y.l1d_accesses && x.l1d_misses == y.l1d_misses &&
-        x.l1i_accesses == y.l1i_accesses && x.l1i_misses == y.l1i_misses &&
-        x.l2d_accesses == y.l2d_accesses && x.l2d_misses == y.l2d_misses &&
-        x.l2i_accesses == y.l2i_accesses && x.l2i_misses == y.l2i_misses &&
-        x.l3_accesses == y.l3_accesses && x.l3_misses == y.l3_misses &&
-        x.dtlb_accesses == y.dtlb_accesses &&
-        x.dtlb_misses == y.dtlb_misses &&
-        x.itlb_accesses == y.itlb_accesses &&
-        x.itlb_misses == y.itlb_misses &&
-        x.l2tlb_misses == y.l2tlb_misses && x.page_walks == y.page_walks &&
-        x.branch_mispredictions == y.branch_mispredictions &&
-        x.prefetch_fills == y.prefetch_fills &&
-        x.prefetch_useful == y.prefetch_useful &&
-        x.prefetch_evicted_unused == y.prefetch_evicted_unused &&
-        x.way_pred_hits == y.way_pred_hits &&
-        x.way_pred_mispredicts == y.way_pred_mispredicts &&
-        x.dram_accesses == y.dram_accesses &&
-        x.dram_row_hits == y.dram_row_hits &&
-        x.dram_busy_cycles == y.dram_busy_cycles &&
-        x.dram_budget_cycles == y.dram_budget_cycles;
-    if (!counters_equal)
-        return false;
-
-    const CpiStack &s = a.cpi_stack;
-    const CpiStack &t = b.cpi_stack;
-    bool stack_equal =
-        s.base == t.base && s.dependency == t.dependency &&
-        s.frontend_icache == t.frontend_icache &&
-        s.frontend_branch == t.frontend_branch &&
-        s.backend_l2 == t.backend_l2 && s.backend_l3 == t.backend_l3 &&
-        s.backend_memory == t.backend_memory &&
-        s.backend_tlb == t.backend_tlb;
-    if (!stack_equal)
-        return false;
-
-    return a.power.core_watts == b.power.core_watts &&
-           a.power.llc_watts == b.power.llc_watts &&
-           a.power.dram_watts == b.power.dram_watts;
+    return a.counters == b.counters && a.cpi_stack == b.cpi_stack &&
+           a.power == b.power;
 }
 
 PhasedSimulationResult

@@ -9,6 +9,11 @@
  * and power estimate.  A warm-up window is excluded from the counters
  * so cold-start compulsory misses do not distort the steady-state
  * rates the paper's metrics describe.
+ *
+ * There is one playback loop, behind simulate(), simulateAudited() and
+ * simulatePhased().  Its batching, run collapsing and analytic prewarm
+ * are checked bit for bit against a per-record scalar reference that
+ * lives with the tests (tests/uarch/reference_simulator.h).
  */
 
 #ifndef SPECLENS_UARCH_SIMULATION_H
@@ -85,6 +90,13 @@ struct SimulationResult
 
     /** Instructions per cycle. */
     double ipc() const;
+
+    /**
+     * Feed every event count, then every CPI-stack component, then the
+     * three power rails (each double by bit pattern) to @p fp, so a
+     * digest over results changes if any result changes in any bit.
+     */
+    void hashInto(stats::Fingerprinter &fp) const;
 };
 
 /**
@@ -115,24 +127,11 @@ SimulationResult simulateAudited(const trace::WorkloadProfile &profile,
                                  verify::AuditTrail &trail);
 
 /**
- * simulate(), but through the pre-batching playback form: the whole
- * window is materialized as a std::vector<Instruction> and replayed
- * per instruction.  Kept as the baseline side of the streaming-vs-
- * materialized parity contract (results must satisfy bitIdentical
- * against simulate()) and of the `bench trajectory` speedup
- * measurement.
- */
-SimulationResult
-simulateMaterialized(const trace::WorkloadProfile &profile,
-                     const MachineConfig &machine,
-                     const SimulationConfig &config = {});
-
-/**
  * True when two results agree bit-for-bit: every event count equal and
  * every derived double (CPI-stack components, power rails) identical
  * under exact floating-point comparison.  This is the contract the
- * fused pipeline must honour against the materialized baseline and a
- * warm artifact-store rerun against a cold one.
+ * fused pipeline must honour against the scalar reference in the
+ * tests, and a warm artifact-store rerun against a cold one.
  */
 bool bitIdentical(const SimulationResult &a, const SimulationResult &b);
 

@@ -393,23 +393,30 @@ replaced(std::string text, const std::string &from, const std::string &to)
     return text;
 }
 
-/** A fully consistent v2 trajectory artifact for PR @p pr. */
+/**
+ * A fully consistent trajectory artifact for PR @p pr in schema
+ * @p version: v3 drops v2's materialized baseline, and v1 (which no
+ * reader accepts any more) predates the seed baseline.
+ */
 std::string
-benchArtifactText(std::uint64_t pr)
+benchArtifactText(std::uint64_t pr, int version = 2)
 {
     const double fused = 2.0, materialized = 4.0;
     const double records_per_second = 12'880'000.0 / fused;
     std::ostringstream os;
     os.precision(17);
     os << "{\n";
-    os << "  \"schema\": \"speclens-bench-trajectory-v2\",\n";
+    os << "  \"schema\": \"speclens-bench-trajectory-v" << version
+       << "\",\n";
     os << "  \"pr\": " << pr << ",\n";
-    os << "  \"seed_baseline\": {\n";
-    os << "    \"records_per_second\": " << core::kSeedRecordsPerSecond
-       << ",\n";
-    os << "    \"simulations_per_second\": "
-       << core::kSeedSimulationsPerSecond << "\n";
-    os << "  },\n";
+    if (version >= 2) {
+        os << "  \"seed_baseline\": {\n";
+        os << "    \"records_per_second\": "
+           << core::kSeedRecordsPerSecond << ",\n";
+        os << "    \"simulations_per_second\": "
+           << core::kSeedSimulationsPerSecond << "\n";
+        os << "  },\n";
+    }
     os << "  \"config\": {\n";
     os << "    \"suite\": \"cpu2017\",\n";
     os << "    \"benchmarks\": 23,\n";
@@ -426,14 +433,17 @@ benchArtifactText(std::uint64_t pr)
     os << "    \"records_total\": 12880000,\n";
     os << "    \"fingerprint\": \"00112233aabbccdd\",\n";
     os << "    \"fused_seconds\": " << fused << ",\n";
-    os << "    \"materialized_seconds\": " << materialized << ",\n";
-    os << "    \"speedup_vs_materialized\": " << materialized / fused
-       << ",\n";
-    os << "    \"speedup_vs_seed\": "
-       << records_per_second / core::kSeedRecordsPerSecond << ",\n";
+    if (version <= 2) {
+        os << "    \"materialized_seconds\": " << materialized << ",\n";
+        os << "    \"speedup_vs_materialized\": " << materialized / fused
+           << ",\n";
+        os << "    \"parity_bit_identical\": true,\n";
+    }
+    if (version >= 2)
+        os << "    \"speedup_vs_seed\": "
+           << records_per_second / core::kSeedRecordsPerSecond << ",\n";
     os << "    \"simulations_per_second\": " << 161.0 / fused << ",\n";
-    os << "    \"records_per_second\": " << records_per_second << ",\n";
-    os << "    \"parity_bit_identical\": true\n";
+    os << "    \"records_per_second\": " << records_per_second << "\n";
     os << "  },\n";
     os << "  \"stats\": {\n";
     os << "    \"seconds\": 0.5,\n";
@@ -577,6 +587,25 @@ TEST(Rules, SL020_ParityRegressionIsAnError)
               replaced(benchArtifactText(4),
                        "\"parity_bit_identical\": true",
                        "\"parity_bit_identical\": false"));
+    expectFires("SL020", context);
+}
+
+TEST(Rules, SL020_V3ArtifactLintsClean)
+{
+    TempDir dir("speclens_sl020_v3_test");
+    LintContext context = cleanContext();
+    context.bench_dir = dir.path.string();
+    // No materialized baseline and no parity flag: v3 has neither.
+    writeFile(dir.path / "BENCH_3.json", benchArtifactText(3, 3));
+    EXPECT_EQ(errorCount(runRule("SL020", context)), 0u);
+}
+
+TEST(Rules, SL020_V1ArtifactIsAnError)
+{
+    TempDir dir("speclens_sl020_v1_test");
+    LintContext context = cleanContext();
+    context.bench_dir = dir.path.string();
+    writeFile(dir.path / "BENCH_2.json", benchArtifactText(2, 1));
     expectFires("SL020", context);
 }
 

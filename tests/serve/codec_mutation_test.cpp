@@ -95,7 +95,6 @@ corpus()
     trajectory.records_total = 57'190'000;
     trajectory.campaign_fingerprint = 0xd847d360243018d8ull;
     trajectory.fused_seconds = 3.4;
-    trajectory.parity_bit_identical = true;
     docs.push_back(core::renderTrajectoryJson(trajectory));
     return docs;
 }

@@ -406,11 +406,18 @@ TEST(TraceGeneratorTest, KernelFractionConverges)
     EXPECT_NEAR(kernel / static_cast<double>(n), 0.25, 0.01);
 }
 
-TEST(TraceGeneratorTest, GenerateReturnsRequestedCount)
+TEST(TraceGeneratorTest, FillReturnsMinOfCountAndCapacity)
 {
     WorkloadProfile p = testProfile();
     TraceGenerator gen(p);
-    EXPECT_EQ(gen.generate(1234).size(), 1234u);
+    RecordBatch batch;
+    EXPECT_EQ(gen.fill(batch, 1234), 1234u);
+    EXPECT_EQ(batch.size, 1234u);
+    EXPECT_EQ(gen.fill(batch, kRecordBatchCapacity + 1),
+              kRecordBatchCapacity);
+    EXPECT_EQ(batch.size, kRecordBatchCapacity);
+    EXPECT_EQ(gen.fill(batch, 0), 0u);
+    EXPECT_EQ(batch.size, 0u);
 }
 
 TEST(TraceGeneratorTest, InvalidProfileRejectedAtConstruction)

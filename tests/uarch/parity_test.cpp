@@ -1,15 +1,17 @@
 /**
  * @file
- * Streaming-vs-materialized parity contract.
+ * Streaming-vs-reference parity contract.
  *
  * The fused pipeline streams records through the structure models in
- * SoA batches and collapses same-line/same-page runs; the materialized
- * baseline builds the whole window as a std::vector<Instruction> and
- * replays it per record.  Both must produce bit-identical
- * SimulationResults — every counter equal, every derived double equal
- * by bit pattern — for EVERY shipped workload on EVERY shipped
- * machine.  A single differing bit here means a run-collapsing or
- * cold-fill shortcut changed observable state, not just speed.
+ * SoA batches, collapses same-line/same-page runs, resolves branches
+ * per batch and may solve the prewarm state in closed form; the scalar
+ * reference (reference_simulator.h) pulls one record at a time,
+ * probes every structure on every record and always walks the prewarm.
+ * Both must produce bit-identical SimulationResults — every counter
+ * equal, every derived double equal by bit pattern — for EVERY shipped
+ * workload on EVERY shipped machine.  A single differing bit here
+ * means a batching, run-collapsing or analytic-prewarm shortcut
+ * changed observable state, not just speed.
  */
 
 #include <string>
@@ -17,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include "reference_simulator.h"
 #include "suites/emerging.h"
 #include "suites/machines.h"
 #include "suites/spec2006.h"
@@ -44,9 +47,9 @@ expectParity(const suites::BenchmarkInfo &benchmark,
 {
     uarch::SimulationResult fused =
         uarch::simulate(benchmark.profile, machine, config);
-    uarch::SimulationResult materialized =
-        uarch::simulateMaterialized(benchmark.profile, machine, config);
-    EXPECT_TRUE(uarch::bitIdentical(fused, materialized))
+    uarch::SimulationResult scalar =
+        reference::simulate(benchmark.profile, machine, config);
+    EXPECT_TRUE(uarch::bitIdentical(fused, scalar))
         << benchmark.name << " on " << machine.name;
 }
 

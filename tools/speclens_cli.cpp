@@ -918,7 +918,8 @@ highestBenchPr(const std::filesystem::path &dir)
 /**
  * Print a previous-vs-current delta table to stderr (never stdout:
  * rates are timing-dependent, and stdout stays byte-deterministic).
- * Parses both schema v1 (no speedup_vs_seed) and v2 artifacts.
+ * Every readable artifact (schema v2 or v3) carries the rates and
+ * speedup_vs_seed in its campaign block.
  */
 void
 printTrajectoryDelta(const std::string &prev_path,
@@ -929,15 +930,16 @@ printTrajectoryDelta(const std::string &prev_path,
         return;
     std::string text((std::istreambuf_iterator<char>(in)),
                      std::istreambuf_iterator<char>());
-    // Rates live in the campaign block; the v2 seed_baseline block
+    // Rates live in the campaign block; the seed_baseline block
     // reuses these key names.  A malformed file parses to null, whose
     // fields are all absent.
     obs::JsonValue doc;
     obs::parseJson(text, doc);
     const obs::JsonValue &campaign = doc["campaign"];
-    double prev_sims = 0.0, prev_records = 0.0;
+    double prev_sims = 0.0, prev_records = 0.0, prev_seed = 0.0;
     if (!campaign["simulations_per_second"].getDouble(prev_sims) ||
         !campaign["records_per_second"].getDouble(prev_records) ||
+        !campaign["speedup_vs_seed"].getDouble(prev_seed) ||
         prev_sims <= 0.0 || prev_records <= 0.0) {
         std::fprintf(stderr,
                      "[speclens-bench] no rates in %s; delta skipped\n",
@@ -954,16 +956,8 @@ printTrajectoryDelta(const std::string &prev_path,
                  "  records/s: %10.0f -> %10.0f  (%+.1f%%)\n",
                  prev_records, r.records_per_second,
                  (r.records_per_second / prev_records - 1.0) * 100.0);
-    double prev_seed = 0.0;
-    if (campaign["speedup_vs_seed"].getDouble(prev_seed) &&
-        prev_seed > 0.0)
-        std::fprintf(stderr,
-                     "  speedup_vs_seed: %.3fx -> %.3fx\n", prev_seed,
-                     r.speedup_vs_seed);
-    else
-        std::fprintf(stderr,
-                     "  speedup_vs_seed: n/a (v1 artifact) -> %.3fx\n",
-                     r.speedup_vs_seed);
+    std::fprintf(stderr, "  speedup_vs_seed: %.3fx -> %.3fx\n", prev_seed,
+                 r.speedup_vs_seed);
 }
 
 int
@@ -1040,13 +1034,11 @@ cmdBenchTrajectory(const CliOptions &opts)
     }
     file.close();
     std::fprintf(stderr,
-                 "[speclens-bench] wrote %s: fused=%.3fs "
-                 "materialized=%.3fs speedup=%.2fx stats=%.3fs\n",
+                 "[speclens-bench] wrote %s: fused=%.3fs stats=%.3fs\n",
                  out_path.c_str(), result.fused_seconds,
-                 result.materialized_seconds,
-                 result.speedup_vs_materialized, result.stats_seconds);
+                 result.stats_seconds);
 
-    // Delta table against the most recent earlier artifact (v1 or v2).
+    // Delta table against the most recent earlier artifact.
     for (int prev = config.pr - 1; prev >= 0; --prev) {
         std::string prev_path = core::trajectoryArtifactName(prev);
         if (std::filesystem::exists(prev_path)) {
@@ -1055,12 +1047,11 @@ cmdBenchTrajectory(const CliOptions &opts)
         }
     }
 
-    // Exit code doubles as the contract check: parity and (when a
-    // store was given) warm reuse must both hold.
-    bool ok = result.parity_bit_identical &&
-              (!result.store_checked ||
-               (result.warm_bit_identical &&
-                result.warm_simulations_run == 0));
+    // Exit code doubles as the contract check: when a store was given,
+    // warm reuse must hold.
+    bool ok = !result.store_checked ||
+              (result.warm_bit_identical &&
+               result.warm_simulations_run == 0);
     return ok ? 0 : 1;
 }
 
@@ -1077,41 +1068,6 @@ cmdBench(const CliOptions &opts)
 // mini-campaign, then prove scheduling determinism by replaying the
 // campaign across worker counts and seed salts.
 // ====================================================================
-
-std::string
-auditHex16(std::uint64_t value)
-{
-    char buffer[17];
-    std::snprintf(buffer, sizeof buffer, "%016llx",
-                  static_cast<unsigned long long>(value));
-    return buffer;
-}
-
-/** Every counter and derived double of @p r, bit-exact. */
-void
-hashResultForAudit(stats::Fingerprinter &fp,
-                   const uarch::SimulationResult &r)
-{
-    const uarch::PerfCounters &c = r.counters;
-    for (std::uint64_t v :
-         {c.instructions, c.loads, c.stores, c.branches,
-          c.taken_branches, c.fp_ops, c.simd_ops,
-          c.kernel_instructions, c.l1d_accesses, c.l1d_misses,
-          c.l1i_accesses, c.l1i_misses, c.l2d_accesses, c.l2d_misses,
-          c.l2i_accesses, c.l2i_misses, c.l3_accesses, c.l3_misses,
-          c.dtlb_accesses, c.dtlb_misses, c.itlb_accesses,
-          c.itlb_misses, c.l2tlb_misses, c.page_walks,
-          c.branch_mispredictions, c.prefetch_fills, c.prefetch_useful,
-          c.prefetch_evicted_unused, c.way_pred_hits,
-          c.way_pred_mispredicts, c.dram_accesses, c.dram_row_hits,
-          c.dram_busy_cycles, c.dram_budget_cycles})
-        fp.u64(v);
-    for (double v : r.cpi_stack.components())
-        fp.f64(v);
-    fp.f64(r.power.core_watts);
-    fp.f64(r.power.llc_watts);
-    fp.f64(r.power.dram_watts);
-}
 
 /** The audit campaign: a pinned benchmark subset on every machine. */
 std::vector<suites::BenchmarkInfo>
@@ -1146,7 +1102,7 @@ campaignFingerprint(const std::vector<suites::BenchmarkInfo> &benchmarks,
     fp.tag("speclens-audit-campaign-v1");
     for (const suites::BenchmarkInfo &b : benchmarks)
         for (std::size_t m = 0; m < machines.size(); ++m)
-            hashResultForAudit(fp, characterizer.simulation(b, m));
+            characterizer.simulation(b, m).hashInto(fp);
     return fp.value();
 }
 
@@ -1226,15 +1182,15 @@ cmdAudit(const CliOptions &opts)
                              "%s != %s\n",
                              static_cast<unsigned long long>(
                                  config.seed_salt),
-                             jobs, auditHex16(fp).c_str(),
-                             auditHex16(first).c_str());
+                             jobs, obs::hex16(fp).c_str(),
+                             obs::hex16(first).c_str());
             }
         }
         std::printf("determinism: salt %llu: jobs {1, 2, auto} %s "
                     "(fingerprint %s)\n",
                     static_cast<unsigned long long>(config.seed_salt),
                     agree ? "agree" : "DIVERGED",
-                    auditHex16(first).c_str());
+                    obs::hex16(first).c_str());
         deterministic = deterministic && agree;
         salt_fingerprints.push_back(first);
     }
