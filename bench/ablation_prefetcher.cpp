@@ -38,7 +38,7 @@ using namespace speclens;
 int
 main(int argc, char **argv)
 {
-    bench::BenchOptions opts = bench::parseOptions(argc, argv);
+    core::SessionFlags opts = bench::parseOptions(argc, argv);
 
     bench::banner("Ablation: L2 stream prefetcher (degree 0 vs 4) on "
                   "the Skylake model");

@@ -22,6 +22,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
@@ -30,8 +31,8 @@
 #include <thread>
 #include <vector>
 
-#include "bench_common.h"
 #include "core/artifact_store.h"
+#include "core/option_parse.h"
 #include "core/service_context.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
@@ -97,49 +98,30 @@ main(int argc, char **argv)
     std::size_t clients = 8;
     std::size_t requests = 40;
     std::string out_path = "serve_loadtest.json";
-    bench::BenchOptions opts;
-    opts.instructions = 15'000;
-    opts.warmup = 5'000;
-
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--help") == 0) {
-            std::printf(
-                "usage: %s [--clients M] [--requests N] [--out FILE]\n"
-                "       [--instructions N] [--warmup N] [--jobs N]\n"
-                "       [--seed-salt N] [--store DIR]\n",
-                argv[0]);
-            return 0;
-        }
-        if (std::strcmp(argv[i], "--clients") == 0)
-            clients = static_cast<std::size_t>(
-                bench::numericFlagValue("--clients", argc, argv, i));
-        else if (std::strcmp(argv[i], "--requests") == 0)
-            requests = static_cast<std::size_t>(
-                bench::numericFlagValue("--requests", argc, argv, i));
-        else if (std::strcmp(argv[i], "--out") == 0)
-            out_path =
-                bench::stringFlagValue("--out", argc, argv, i);
-        else if (std::strcmp(argv[i], "--instructions") == 0)
-            opts.instructions = bench::numericFlagValue(
-                "--instructions", argc, argv, i);
-        else if (std::strcmp(argv[i], "--warmup") == 0)
-            opts.warmup =
-                bench::numericFlagValue("--warmup", argc, argv, i);
-        else if (std::strcmp(argv[i], "--jobs") == 0)
-            opts.jobs = static_cast<std::size_t>(
-                bench::numericFlagValue("--jobs", argc, argv, i));
-        else if (std::strcmp(argv[i], "--seed-salt") == 0)
-            opts.seed_salt =
-                bench::numericFlagValue("--seed-salt", argc, argv, i);
-        else if (std::strcmp(argv[i], "--store") == 0)
-            opts.store_dir =
-                bench::stringFlagValue("--store", argc, argv, i);
-        else {
-            std::fprintf(stderr,
-                         "unknown option: %s (try --help)\n", argv[i]);
-            return 1;
-        }
-    }
+    core::SessionFlags opts =
+        core::parseSessionFlags(argc, argv, 1, [&](int &i) {
+            if (std::strcmp(argv[i], "--help") == 0) {
+                std::fputs(core::sessionUsage(
+                               std::string("usage: ") + argv[0] +
+                                   " [--clients M] [--requests N] "
+                                   "[--out FILE]",
+                               7)
+                               .c_str(),
+                           stdout);
+                std::exit(0);
+            }
+            if (std::strcmp(argv[i], "--clients") == 0)
+                clients = static_cast<std::size_t>(
+                    core::numericFlagValue("--clients", argc, argv, i));
+            else if (std::strcmp(argv[i], "--requests") == 0)
+                requests = static_cast<std::size_t>(
+                    core::numericFlagValue("--requests", argc, argv, i));
+            else if (std::strcmp(argv[i], "--out") == 0)
+                out_path = core::stringFlagValue("--out", argc, argv, i);
+            else
+                return false;
+            return true;
+        });
     if (clients == 0 || requests == 0) {
         std::fprintf(stderr,
                      "error: --clients and --requests must be > 0\n");
@@ -147,11 +129,7 @@ main(int argc, char **argv)
     }
 
     serve::ServerConfig config;
-    config.service.characterization.instructions = opts.instructions;
-    config.service.characterization.warmup = opts.warmup;
-    config.service.characterization.seed_salt = opts.seed_salt;
-    config.service.characterization.jobs = opts.jobs;
-    config.service.store_dir = opts.store_dir;
+    config.service = core::serviceConfig(opts, {15'000, 5'000});
 
     serve::Server server(config);
     std::string error;

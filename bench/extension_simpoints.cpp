@@ -31,7 +31,8 @@ using namespace speclens;
 int
 main(int argc, char **argv)
 {
-    bench::BenchOptions opts = bench::parseOptions(argc, argv);
+    core::SessionFlags opts = bench::parseOptions(argc, argv);
+    const core::Window window = opts.window(bench::kBenchWindow);
 
     bench::banner("Extension: SimPoint-style phase reduction "
                   "(cluster phases, simulate representatives)");
@@ -59,8 +60,8 @@ main(int argc, char **argv)
 
         core::SimPointConfig config;
         config.clusters = clusters;
-        config.instructions = opts.instructions;
-        config.warmup = opts.warmup;
+        config.instructions = window.instructions;
+        config.warmup = window.warmup;
         core::SimPointResult result = core::simpointEstimate(
             workload, suites::skylakeMachine(), config,
             session.store());

@@ -70,7 +70,7 @@ scatter(core::Characterizer &characterizer, core::MetricSelection sel,
 int
 main(int argc, char **argv)
 {
-    bench::BenchOptions opts = bench::parseOptions(argc, argv);
+    core::SessionFlags opts = bench::parseOptions(argc, argv);
     core::AnalysisSession session = bench::makeSession(opts);
     core::Characterizer &characterizer = session.characterizer();
 

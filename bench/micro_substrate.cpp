@@ -9,11 +9,15 @@
  * and instead times the full 43 x 7 characterization campaign at
  * --jobs 1, 2 and N, reports the wall-clock speedup, and verifies the
  * feature matrices are byte-identical across job counts (exit status 1
- * if not).  --instructions/--warmup adjust the simulated window.
+ * if not).  The session flags (--instructions, --warmup, --seed-salt,
+ * --metrics) adjust the campaign; --store is refused, since store hits
+ * would replace the simulations being timed.  Every other argument
+ * goes to google-benchmark.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <variant>
@@ -155,12 +159,9 @@ BENCHMARK(BM_Clustering)->Arg(10)->Arg(43)->Arg(100);
  */
 stats::Matrix
 runCampaign(const std::vector<suites::BenchmarkInfo> &suite,
-            std::uint64_t instructions, std::uint64_t warmup,
-            std::size_t jobs, double &elapsed_ms)
+            core::CharacterizationConfig config, std::size_t jobs,
+            double &elapsed_ms)
 {
-    core::CharacterizationConfig config;
-    config.instructions = instructions;
-    config.warmup = warmup;
     config.jobs = jobs;
     core::Characterizer characterizer(suites::profilingMachines(),
                                       config);
@@ -188,31 +189,28 @@ byteIdentical(const stats::Matrix &a, const stats::Matrix &b)
  * status (1 on any mismatch).
  */
 int
-campaignReport(std::uint64_t instructions, std::uint64_t warmup,
-               std::size_t jobs)
+campaignReport(const core::CharacterizationConfig &config)
 {
     std::vector<suites::BenchmarkInfo> suite = suites::spec2017();
     std::size_t n_machines = suites::profilingMachines().size();
-    jobs = core::resolveJobCount(jobs);
+    std::size_t jobs = core::resolveJobCount(config.jobs);
 
     std::printf("characterization campaign: %zu benchmarks x %zu "
                 "machines = %zu simulations\n"
                 "window: %llu measured + %llu warm-up instructions "
                 "per pair\n\n",
                 suite.size(), n_machines, suite.size() * n_machines,
-                static_cast<unsigned long long>(instructions),
-                static_cast<unsigned long long>(warmup));
+                static_cast<unsigned long long>(config.instructions),
+                static_cast<unsigned long long>(config.warmup));
 
     double serial_ms = 0.0, two_ms = 0.0, parallel_ms = 0.0;
-    stats::Matrix serial =
-        runCampaign(suite, instructions, warmup, 1, serial_ms);
+    stats::Matrix serial = runCampaign(suite, config, 1, serial_ms);
     std::printf("  --jobs 1   %10.1f ms\n", serial_ms);
-    stats::Matrix two =
-        runCampaign(suite, instructions, warmup, 2, two_ms);
+    stats::Matrix two = runCampaign(suite, config, 2, two_ms);
     std::printf("  --jobs 2   %10.1f ms   (%.2fx)\n", two_ms,
                 serial_ms / two_ms);
     stats::Matrix parallel =
-        runCampaign(suite, instructions, warmup, jobs, parallel_ms);
+        runCampaign(suite, config, jobs, parallel_ms);
     std::printf("  --jobs %-3zu %10.1f ms   (%.2fx)\n\n", jobs,
                 parallel_ms, serial_ms / parallel_ms);
 
@@ -231,30 +229,30 @@ campaignReport(std::uint64_t instructions, std::uint64_t warmup,
 int
 main(int argc, char **argv)
 {
-    // Peel off the campaign flags; everything else goes to
-    // google-benchmark.  Any --jobs/--campaign selects campaign mode.
+    // Peel off the session flags and --campaign; everything else goes
+    // to google-benchmark.  Any --jobs/--campaign selects campaign mode.
     std::vector<char *> passthrough{argv[0]};
     bool campaign = false;
-    std::uint64_t instructions = 150'000, warmup = 40'000;
-    std::size_t jobs = 0;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--jobs") == 0) {
-            jobs = static_cast<std::size_t>(
-                bench::numericFlagValue("--jobs", argc, argv, i));
-            campaign = true;
-        } else if (std::strcmp(argv[i], "--campaign") == 0) {
-            campaign = true;
-        } else if (std::strcmp(argv[i], "--instructions") == 0) {
-            instructions = bench::numericFlagValue("--instructions",
-                                                   argc, argv, i);
-        } else if (std::strcmp(argv[i], "--warmup") == 0) {
-            warmup = bench::numericFlagValue("--warmup", argc, argv, i);
-        } else {
-            passthrough.push_back(argv[i]);
-        }
+    core::SessionFlags opts =
+        core::parseSessionFlags(argc, argv, 1, [&](int &i) {
+            if (std::strcmp(argv[i], "--campaign") == 0)
+                campaign = true;
+            else
+                passthrough.push_back(argv[i]);
+            return true;
+        });
+    const bool jobs_given =
+        std::any_of(argv + 1, argv + argc, [](const char *arg) {
+            return std::strcmp(arg, "--jobs") == 0;
+        });
+    if (!opts.store_dir.empty()) {
+        std::fprintf(stderr, "error: --store would turn the timed "
+                             "simulations into store hits\n");
+        return 1;
     }
-    if (campaign)
-        return campaignReport(instructions, warmup, jobs);
+    if (campaign || jobs_given)
+        return campaignReport(
+            core::serviceConfig(opts, bench::kBenchWindow).characterization);
 
     int pass_argc = static_cast<int>(passthrough.size());
     benchmark::Initialize(&pass_argc, passthrough.data());

@@ -23,7 +23,8 @@ using namespace speclens;
 int
 main(int argc, char **argv)
 {
-    bench::BenchOptions opts = bench::parseOptions(argc, argv);
+    core::SessionFlags opts = bench::parseOptions(argc, argv);
+    const core::Window window = opts.window(bench::kBenchWindow);
 
     bench::banner("Measurement stability: within-benchmark noise vs "
                   "across-benchmark signal (SPECrate INT, Skylake, "
@@ -37,7 +38,7 @@ main(int argc, char **argv)
 
     core::StabilityReport report = core::analyzeStability(
         suites::spec2017RateInt(), suites::skylakeMachine(), 5,
-        opts.instructions, opts.warmup, opts.jobs, session.store());
+        window.instructions, window.warmup, opts.jobs, session.store());
 
     core::TextTable table({"Metric", "Noise (within)",
                            "Signal (across)", "SNR", "Informative?"});

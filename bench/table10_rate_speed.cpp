@@ -48,7 +48,7 @@ analyze(core::Characterizer &characterizer, bool fp, const char *title)
 int
 main(int argc, char **argv)
 {
-    bench::BenchOptions opts = bench::parseOptions(argc, argv);
+    core::SessionFlags opts = bench::parseOptions(argc, argv);
     core::AnalysisSession session = bench::makeSession(opts);
     core::Characterizer &characterizer = session.characterizer();
 

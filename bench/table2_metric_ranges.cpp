@@ -34,7 +34,7 @@ range(core::Characterizer &characterizer,
 int
 main(int argc, char **argv)
 {
-    bench::BenchOptions opts = bench::parseOptions(argc, argv);
+    core::SessionFlags opts = bench::parseOptions(argc, argv);
     core::AnalysisSession session = bench::makeSession(opts);
     core::Characterizer &characterizer = session.characterizer();
 

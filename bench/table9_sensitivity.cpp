@@ -69,7 +69,7 @@ classify(core::Characterizer &characterizer, core::Metric metric,
 int
 main(int argc, char **argv)
 {
-    bench::BenchOptions opts = bench::parseOptions(argc, argv);
+    core::SessionFlags opts = bench::parseOptions(argc, argv);
 
     // Sensitivity uses the paper's four-machine subset.  One shared
     // session: the three classifications reuse the same 43 x 4

@@ -28,7 +28,7 @@ using namespace speclens;
 int
 main(int argc, char **argv)
 {
-    bench::BenchOptions opts = bench::parseOptions(argc, argv);
+    core::SessionFlags opts = bench::parseOptions(argc, argv);
 
     bench::banner("Memory-centric model: prefetchers, way prediction "
                   "and the DRAM row buffer");

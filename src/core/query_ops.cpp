@@ -18,7 +18,9 @@
 #include "core/similarity.h"
 #include "core/subsetting.h"
 #include "core/validation.h"
+#include "suites/emerging.h"
 #include "suites/score_database.h"
+#include "suites/spec2006.h"
 #include "suites/spec2017.h"
 
 namespace speclens {
@@ -34,30 +36,6 @@ format(const char *fmt, Args... args)
     char buffer[256];
     std::snprintf(buffer, sizeof(buffer), fmt, args...);
     return std::string(buffer);
-}
-
-/** The sub-suite and Category enum for a `subset` category name. */
-bool
-resolveCategory(const std::string &which,
-                std::vector<suites::BenchmarkInfo> &suite,
-                suites::Category &category)
-{
-    if (which == "speed-int") {
-        suite = suites::spec2017SpeedInt();
-        category = suites::Category::SpeedInt;
-    } else if (which == "rate-int") {
-        suite = suites::spec2017RateInt();
-        category = suites::Category::RateInt;
-    } else if (which == "speed-fp") {
-        suite = suites::spec2017SpeedFp();
-        category = suites::Category::SpeedFp;
-    } else if (which == "rate-fp") {
-        suite = suites::spec2017RateFp();
-        category = suites::Category::RateFp;
-    } else {
-        return false;
-    }
-    return true;
 }
 
 bool
@@ -86,18 +64,41 @@ queryError(std::string message)
 }
 
 bool
-isSubsetCategory(const std::string &name)
+resolveCategory(const std::string &which,
+                std::vector<suites::BenchmarkInfo> &suite,
+                suites::Category &category)
 {
-    std::vector<suites::BenchmarkInfo> suite;
-    suites::Category category;
-    return resolveCategory(name, suite, category);
+    if (which == "speed-int") {
+        suite = suites::spec2017SpeedInt();
+        category = suites::Category::SpeedInt;
+    } else if (which == "rate-int") {
+        suite = suites::spec2017RateInt();
+        category = suites::Category::RateInt;
+    } else if (which == "speed-fp") {
+        suite = suites::spec2017SpeedFp();
+        category = suites::Category::SpeedFp;
+    } else if (which == "rate-fp") {
+        suite = suites::spec2017RateFp();
+        category = suites::Category::RateFp;
+    } else {
+        return false;
+    }
+    return true;
 }
 
 bool
-isSensitivityMetric(const std::string &name)
+resolveSuite(const std::string &name,
+             std::vector<suites::BenchmarkInfo> &suite)
 {
-    Metric metric;
-    return resolveMetric(name, metric);
+    if (name == "cpu2017")
+        suite = suites::spec2017();
+    else if (name == "cpu2006")
+        suite = suites::spec2006();
+    else if (name == "emerging")
+        suite = suites::emergingBenchmarks();
+    else
+        return false;
+    return true;
 }
 
 QueryOutcome

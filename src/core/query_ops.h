@@ -39,13 +39,20 @@ struct QueryOutcome
 QueryOutcome queryError(std::string message);
 
 /**
- * True when @p name is a valid `subset` category
- * (speed-int / rate-int / speed-fp / rate-fp).
+ * The CPU2017 sub-suite and Category of `subset`/`report` category
+ * @p name (speed-int / rate-int / speed-fp / rate-fp); false when
+ * unknown.
  */
-bool isSubsetCategory(const std::string &name);
+bool resolveCategory(const std::string &name,
+                     std::vector<suites::BenchmarkInfo> &suite,
+                     suites::Category &category);
 
-/** True when @p name is a valid `sensitivity` metric (branch/l1d/dtlb). */
-bool isSensitivityMetric(const std::string &name);
+/**
+ * The benchmarks of suite @p name (cpu2017 / cpu2006 / emerging);
+ * false when unknown.
+ */
+bool resolveSuite(const std::string &name,
+                  std::vector<suites::BenchmarkInfo> &suite);
 
 /**
  * Characterize @p benchmarks (registry names) on the context's

@@ -2,358 +2,142 @@
  * @file
  * speclens — command-line front end to the SpecLens toolkit.
  *
- * Subcommands:
- *   list [suite]              list known benchmarks (cpu2017, cpu2006,
- *                             emerging; default cpu2017)
- *   machines                  list the Table IV machine models
- *   characterize <bench>...   per-machine metric report for benchmarks
- *   subset <category> [k]     representative subset of a sub-suite
- *   inputs <int|fp>           representative input-set selection
- *   coverage <bench>...       are these workloads covered by CPU2017?
- *   sensitivity <metric>      Table IX-style sensitivity classes
- *                             (branch | l1d | dtlb)
- *   campaign <run|info|invalidate|manifest>
- *                             manage the persistent artifact store
- *   lint                      statically verify every workload model,
- *                             machine config and calibration table
- *   audit                     prove structural invariants over a
- *                             pinned mini-campaign and diff result
- *                             fingerprints across job counts / salts
- *
- * Global options: --instructions N, --warmup N (simulation window),
- * --jobs N (simulation worker threads; default one per hardware
- * thread), --seed-salt N (independent re-runs), --store DIR
- * (persistent artifact store; reused results skip simulation),
- * --metrics FILE + --metrics-format prom|json (metric snapshot written
- * at exit; never touches stdout).  Lint options: --format text|json,
- * --severity info|warning|error (display filter), --no-deep (skip the
- * simulation-backed Table II checks).
+ * One table, kCommands, drives the CLI: each row names a command, its
+ * help lines, the command-specific flags it accepts, its positional
+ * arity and its handler.  Parsing, `speclens help` and dispatch are
+ * loops over that table.  Every command also accepts the session flags
+ * of core/option_parse.h (the simulation window, --jobs, --seed-salt,
+ * --store, --metrics); any other flag, and any positional beyond the
+ * row's arity, exits 1.
  */
 
+#include <algorithm>
 #include <atomic>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <stdexcept>
+#include <fstream>
+#include <functional>
+#include <iostream>
+#include <optional>
+#include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include <fstream>
-#include <iostream>
-
 #include "core/analysis_session.h"
+#include "core/balance.h"
 #include "core/characterization.h"
 #include "core/csv_export.h"
+#include "core/input_set_analysis.h"
 #include "core/option_parse.h"
 #include "core/perf_trajectory.h"
-#include "core/query_ops.h"
-#include "core/service_context.h"
-#include "obs/export.h"
-#include "obs/json.h"
-#include "obs/manifest.h"
 #include "core/phase_analysis.h"
-#include "core/suite_report.h"
-#include "core/input_set_analysis.h"
-#include "core/balance.h"
+#include "core/query_ops.h"
 #include "core/report.h"
-#include "core/sensitivity.h"
-#include "core/similarity.h"
-#include "core/subsetting.h"
-#include "core/validation.h"
+#include "core/service_context.h"
+#include "core/suite_report.h"
 #include "lint/linter.h"
 #include "lint/rules.h"
+#include "obs/json.h"
+#include "obs/manifest.h"
 #include "serve/client.h"
 #include "serve/server.h"
-#include "suites/emerging.h"
 #include "suites/input_sets.h"
 #include "suites/machines.h"
-#include "suites/score_database.h"
-#include "suites/spec2006.h"
 #include "suites/spec2017.h"
 
 using namespace speclens;
 
 namespace {
 
+/** The CLI's simulation window when --instructions/--warmup are absent. */
+constexpr core::Window kCliWindow{120'000, 30'000};
+
 struct CliOptions
 {
-    std::string command;
-    std::vector<std::string> args;
-    std::uint64_t instructions = 120'000;
-    std::uint64_t warmup = 30'000;
-
-    // True when the user passed the flag explicitly.  `bench
-    // trajectory` pins its own window (150k+40k) and must not inherit
-    // the CLI defaults above, but an explicit flag still wins.
-    bool instructions_set = false;
-    bool warmup_set = false;
-    std::size_t jobs = 0; //!< 0 = one worker per hardware thread.
-    std::uint64_t seed_salt = 0;
-    std::string store_dir; //!< Empty = no persistent artifact store.
-    std::string bench_dir; //!< BENCH_<pr>.json directory for lint.
+    core::SessionFlags session;
+    std::vector<std::string> args; //!< Positional arguments.
 
     // Serve/query options.
     std::string host = "127.0.0.1"; //!< Daemon listen/connect address.
     std::uint16_t port = 0; //!< serve: 0 = ephemeral; query: required.
 
-    std::string metrics_path; //!< Empty = no metrics export.
-    obs::ExportFormat metrics_format = obs::ExportFormat::Prometheus;
-
     // Lint options.
     std::string format = "text";   //!< Report format: text | json.
     std::string severity = "info"; //!< Display filter threshold.
     bool deep = true; //!< Run simulation-backed lint checks.
+    std::string bench_dir; //!< BENCH_<pr>.json directory to lint.
+
+    // Bench options.
+    std::optional<int> pr; //!< Unset: highest BENCH_<n>.json + 1.
+    std::string out_path;  //!< Unset: BENCH_<pr>.json.
 };
 
-[[noreturn]] void
-usage(int code)
+[[noreturn]] void usage(int code);
+
+/** Session over @p machines in the CLI's default window. */
+core::AnalysisSession
+makeSession(const CliOptions &opts,
+            std::vector<uarch::MachineConfig> machines =
+                suites::profilingMachines())
 {
-    std::fputs(
-        "usage: speclens <command> [args] [--instructions N] "
-        "[--warmup N] [--jobs N]\n"
-        "                [--seed-salt N] [--store DIR] "
-        "[--metrics FILE]\n"
-        "                [--metrics-format prom|json]\n"
-        "\n"
-        "commands:\n"
-        "  list [cpu2017|cpu2006|emerging]   list benchmarks\n"
-        "  machines                          list machine models\n"
-        "  characterize <bench>...           metric report\n"
-        "  memory <bench>...                 memory-centric report\n"
-        "                                    (prefetch coverage/accuracy/\n"
-        "                                    timeliness, way prediction,\n"
-        "                                    DRAM row-buffer + bandwidth)\n"
-        "  subset <speed-int|rate-int|speed-fp|rate-fp> [k]\n"
-        "                                    representative subset\n"
-        "  inputs <int|fp>                   representative inputs\n"
-        "  coverage <bench>...               CPU2017 coverage verdicts\n"
-        "  sensitivity <branch|l1d|dtlb>     sensitivity classes\n"
-        "  export <cpu2017|cpu2006|emerging> [file.csv]\n"
-        "                                    feature matrix as CSV\n"
-        "  report <speed-int|rate-int|speed-fp|rate-fp> [file.md]\n"
-        "                                    full markdown suite report\n"
-        "  simpoints <bench> [phases] [clusters]\n"
-        "                                    phase-reduction estimate\n"
-        "  campaign run [cpu2017|cpu2006|emerging|all]\n"
-        "                                    populate the --store with a\n"
-        "                                    full characterization\n"
-        "  campaign info                     describe and verify every\n"
-        "                                    --store entry\n"
-        "  campaign invalidate [stale]       delete all (or only bad)\n"
-        "                                    --store entries\n"
-        "  campaign manifest                 validate the run manifest\n"
-        "                                    written next to the --store\n"
-        "  serve [--host A] [--port N]       long-running daemon; answers\n"
-        "                                    queries over a loopback TCP\n"
-        "                                    socket (port 0 = ephemeral,\n"
-        "                                    printed on the 'listening'\n"
-        "                                    line; SIGTERM drains)\n"
-        "  query <characterize|memory|subset|sensitivity|stats|\n"
-        "         shutdown>\n"
-        "        [args] --port N [--host A]  ask a running daemon; output\n"
-        "                                    is byte-identical to the\n"
-        "                                    batch command\n"
-        "  bench trajectory [--pr N] [--out FILE]\n"
-        "                                    pinned perf campaign; facts\n"
-        "                                    to stdout, BENCH_<pr>.json\n"
-        "                                    with timings to FILE; no\n"
-        "                                    --pr: highest BENCH_* + 1,\n"
-        "                                    delta table on stderr\n"
-        "  lint [--format text|json] [--severity info|warning|error]\n"
-        "       [--no-deep] [--store DIR]    verify models and tables\n"
-        "       [--bench DIR]                (and store integrity plus\n"
-        "                                    BENCH/manifest artifacts)\n"
-        "  audit                             prove structural invariants\n"
-        "                                    over a pinned mini-campaign\n"
-        "                                    and replay it across job\n"
-        "                                    counts and seed salts,\n"
-        "                                    diffing result fingerprints\n",
-        code == 0 ? stdout : stderr);
-    std::exit(code);
+    return core::makeSession(opts.session, kCliWindow, std::move(machines));
 }
 
-/** Numeric value of @p flag at argv[i + 1]; exits on bad input. */
-std::uint64_t
-numericFlagValue(const char *flag, int argc, char **argv, int &i)
+/** Print a query's output, or its error on stderr (exit status 1). */
+int
+printOutcome(const core::QueryOutcome &outcome)
 {
-    if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: %s requires a value\n", flag);
-        std::exit(1);
+    if (!outcome.ok) {
+        std::fprintf(stderr, "%s\n", outcome.error.c_str());
+        return 1;
     }
-    const char *text = argv[++i];
-    std::uint64_t value = 0;
-    core::ParseStatus status = core::parseUnsigned(text, value);
-    if (status != core::ParseStatus::Ok) {
-        std::fprintf(stderr,
-                     "error: %s expects a non-negative integer, got "
-                     "'%s': %s\n",
-                     flag, text,
-                     core::parseStatusDetail(status).c_str());
-        std::exit(1);
-    }
-    return value;
+    std::fputs(outcome.output.c_str(), stdout);
+    return 0;
 }
 
 /**
- * Parse positional argument @p text as a strict non-negative integer.
- * Returns false (with a diagnostic naming @p what) on any defect —
- * the atoi it replaces treated "3x" as 3 and "x" as 0.
+ * Write @p render's output to file @p path.  False, with a diagnostic,
+ * when the file cannot be opened or written, including a write that
+ * fails only when close() flushes it.
  */
 bool
-parsePositional(const char *what, const std::string &text,
-                std::size_t &out)
+writeFile(const std::string &path,
+          const std::function<void(std::ostream &)> &render)
 {
-    std::uint64_t value = 0;
-    core::ParseStatus status = core::parseUnsigned(text, value);
-    if (status != core::ParseStatus::Ok) {
-        std::fprintf(stderr,
-                     "error: %s expects a non-negative integer, got "
-                     "'%s': %s\n",
-                     what, text.c_str(),
-                     core::parseStatusDetail(status).c_str());
+    std::ofstream file(path);
+    if (file) {
+        render(file);
+        file.close();
+    }
+    if (!file) {
+        std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
         return false;
     }
-    out = static_cast<std::size_t>(value);
     return true;
 }
 
-/** String value of @p flag at argv[i + 1]; exits on missing value. */
-const char *
-stringFlagValue(const char *flag, int argc, char **argv, int &i)
+/** The benchmarks of suite @p name; usage error when unknown. */
+std::vector<suites::BenchmarkInfo>
+suiteNamed(const std::string &name)
 {
-    if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: %s requires a value\n", flag);
-        std::exit(1);
-    }
-    return argv[++i];
-}
-
-CliOptions
-parse(int argc, char **argv)
-{
-    CliOptions opts;
-    if (argc < 2)
+    std::vector<suites::BenchmarkInfo> suite;
+    if (!core::resolveSuite(name, suite))
         usage(1);
-    opts.command = argv[1];
-    for (int i = 2; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--instructions") == 0) {
-            opts.instructions =
-                numericFlagValue("--instructions", argc, argv, i);
-            opts.instructions_set = true;
-        } else if (std::strcmp(argv[i], "--warmup") == 0) {
-            opts.warmup = numericFlagValue("--warmup", argc, argv, i);
-            opts.warmup_set = true;
-        }
-        else if (std::strcmp(argv[i], "--jobs") == 0)
-            opts.jobs = static_cast<std::size_t>(
-                numericFlagValue("--jobs", argc, argv, i));
-        else if (std::strcmp(argv[i], "--seed-salt") == 0)
-            opts.seed_salt =
-                numericFlagValue("--seed-salt", argc, argv, i);
-        else if (std::strcmp(argv[i], "--store") == 0)
-            opts.store_dir = stringFlagValue("--store", argc, argv, i);
-        else if (std::strcmp(argv[i], "--bench") == 0)
-            opts.bench_dir = stringFlagValue("--bench", argc, argv, i);
-        else if (std::strcmp(argv[i], "--host") == 0)
-            opts.host = stringFlagValue("--host", argc, argv, i);
-        else if (std::strcmp(argv[i], "--port") == 0) {
-            std::uint64_t value =
-                numericFlagValue("--port", argc, argv, i);
-            if (value > 65535) {
-                std::fprintf(stderr,
-                             "error: --port must be <= 65535\n");
-                std::exit(1);
-            }
-            opts.port = static_cast<std::uint16_t>(value);
-        }
-        else if (std::strcmp(argv[i], "--metrics") == 0)
-            opts.metrics_path =
-                stringFlagValue("--metrics", argc, argv, i);
-        else if (std::strcmp(argv[i], "--metrics-format") == 0) {
-            const char *name =
-                stringFlagValue("--metrics-format", argc, argv, i);
-            try {
-                opts.metrics_format = obs::exportFormatFromName(name);
-            } catch (const std::invalid_argument &e) {
-                std::fprintf(stderr, "error: %s\n", e.what());
-                std::exit(1);
-            }
-        } else if (std::strcmp(argv[i], "--format") == 0)
-            opts.format = stringFlagValue("--format", argc, argv, i);
-        else if (std::strcmp(argv[i], "--severity") == 0)
-            opts.severity =
-                stringFlagValue("--severity", argc, argv, i);
-        else if (std::strcmp(argv[i], "--no-deep") == 0)
-            opts.deep = false;
-        else if (std::strcmp(argv[i], "--help") == 0)
-            usage(0);
-        else
-            opts.args.emplace_back(argv[i]);
-    }
-    if (!opts.metrics_path.empty())
-        obs::exportAtExit(opts.metrics_path, opts.metrics_format);
-    return opts;
-}
-
-/** Benchmark lookup across every database. */
-const suites::BenchmarkInfo *
-lookup(const std::string &name)
-{
-    for (const auto *list :
-         {&suites::spec2017(), &suites::spec2006()}) {
-        for (const suites::BenchmarkInfo &b : *list)
-            if (b.name == name)
-                return &b;
-    }
-    static const std::vector<suites::BenchmarkInfo> emerging =
-        suites::emergingBenchmarks();
-    for (const suites::BenchmarkInfo &b : emerging)
-        if (b.name == name)
-            return &b;
-    return nullptr;
-}
-
-/** Session over an explicit machine set (store attached per --store). */
-core::AnalysisSession
-makeSession(const CliOptions &opts,
-            std::vector<uarch::MachineConfig> machines)
-{
-    core::SessionConfig config;
-    config.machines = std::move(machines);
-    config.characterization.instructions = opts.instructions;
-    config.characterization.warmup = opts.warmup;
-    config.characterization.seed_salt = opts.seed_salt;
-    config.characterization.jobs = opts.jobs;
-    config.store_dir = opts.store_dir;
-    return core::AnalysisSession(std::move(config));
-}
-
-/** Session over the seven Table IV machines. */
-core::AnalysisSession
-makeSession(const CliOptions &opts)
-{
-    return makeSession(opts, suites::profilingMachines());
+    return suite;
 }
 
 int
 cmdList(const CliOptions &opts)
 {
-    std::string which = opts.args.empty() ? "cpu2017" : opts.args[0];
-    std::vector<suites::BenchmarkInfo> list;
-    if (which == "cpu2017")
-        list = suites::spec2017();
-    else if (which == "cpu2006")
-        list = suites::spec2006();
-    else if (which == "emerging")
-        list = suites::emergingBenchmarks();
-    else
-        usage(1);
-
     core::TextTable table({"Benchmark", "Category", "Domain",
                            "Language", "Icount (B)", "New in 2017"});
-    for (const suites::BenchmarkInfo &b : list) {
+    for (const suites::BenchmarkInfo &b :
+         suiteNamed(opts.args.empty() ? "cpu2017" : opts.args[0])) {
         table.addRow({b.name, suites::categoryName(b.category),
                       suites::domainName(b.domain),
                       suites::languageName(b.language),
@@ -366,7 +150,7 @@ cmdList(const CliOptions &opts)
 }
 
 int
-cmdMachines()
+cmdMachines(const CliOptions &)
 {
     core::TextTable table({"Machine", "Short name", "ISA", "GHz", "L1D",
                            "L2", "LLC", "Predictor"});
@@ -389,60 +173,34 @@ cmdMachines()
 int
 cmdCharacterize(const CliOptions &opts)
 {
-    if (opts.args.empty())
-        usage(1);
     core::AnalysisSession session = makeSession(opts);
-    core::QueryOutcome outcome =
-        core::runCharacterizeQuery(session.context(), opts.args);
-    if (!outcome.ok) {
-        std::fprintf(stderr, "%s\n", outcome.error.c_str());
-        return 1;
-    }
-    std::fputs(outcome.output.c_str(), stdout);
-    return 0;
+    return printOutcome(
+        core::runCharacterizeQuery(session.context(), opts.args));
 }
 
 int
 cmdMemory(const CliOptions &opts)
 {
-    if (opts.args.empty())
-        usage(1);
     core::AnalysisSession session =
         makeSession(opts, suites::memoryCentricMachines());
-    core::QueryOutcome outcome =
-        core::runMemoryQuery(session.context(), opts.args);
-    if (!outcome.ok) {
-        std::fprintf(stderr, "%s\n", outcome.error.c_str());
-        return 1;
-    }
-    std::fputs(outcome.output.c_str(), stdout);
-    return 0;
+    return printOutcome(core::runMemoryQuery(session.context(), opts.args));
 }
 
 int
 cmdSubset(const CliOptions &opts)
 {
-    if (opts.args.empty() || !core::isSubsetCategory(opts.args[0]))
-        usage(1);
-    std::size_t k = 3;
-    if (opts.args.size() > 1 && !parsePositional("k", opts.args[1], k))
-        return 1;
-
+    std::size_t k = opts.args.size() > 1
+                        ? core::numericValue("k", opts.args[1].c_str())
+                        : 3;
     core::AnalysisSession session = makeSession(opts);
-    core::QueryOutcome outcome =
-        core::runSubsetQuery(session.context(), opts.args[0], k);
-    if (!outcome.ok) {
-        std::fprintf(stderr, "%s\n", outcome.error.c_str());
-        return 1;
-    }
-    std::fputs(outcome.output.c_str(), stdout);
-    return 0;
+    return printOutcome(
+        core::runSubsetQuery(session.context(), opts.args[0], k));
 }
 
 int
 cmdInputs(const CliOptions &opts)
 {
-    if (opts.args.empty())
+    if (opts.args[0] != "int" && opts.args[0] != "fp")
         usage(1);
     core::AnalysisSession session = makeSession(opts);
     core::Characterizer &characterizer = session.characterizer();
@@ -465,11 +223,11 @@ cmdInputs(const CliOptions &opts)
 int
 cmdCoverage(const CliOptions &opts)
 {
-    if (opts.args.empty())
-        usage(1);
+    core::AnalysisSession session = makeSession(opts);
     std::vector<suites::BenchmarkInfo> candidates;
     for (const std::string &name : opts.args) {
-        const suites::BenchmarkInfo *benchmark = lookup(name);
+        const suites::BenchmarkInfo *benchmark =
+            session.context().findBenchmark(name);
         if (!benchmark) {
             std::fprintf(stderr, "unknown benchmark: %s\n",
                          name.c_str());
@@ -477,7 +235,6 @@ cmdCoverage(const CliOptions &opts)
         }
         candidates.push_back(*benchmark);
     }
-    core::AnalysisSession session = makeSession(opts);
     core::Characterizer &characterizer = session.characterizer();
     auto verdicts = core::coverageAnalysis(
         characterizer, suites::spec2017(), candidates);
@@ -494,48 +251,26 @@ cmdCoverage(const CliOptions &opts)
 int
 cmdSensitivity(const CliOptions &opts)
 {
-    if (opts.args.empty() || !core::isSensitivityMetric(opts.args[0]))
-        usage(1);
     core::AnalysisSession session =
         makeSession(opts, suites::sensitivityMachines());
-    core::QueryOutcome outcome =
-        core::runSensitivityQuery(session.context(), opts.args[0]);
-    if (!outcome.ok) {
-        std::fprintf(stderr, "%s\n", outcome.error.c_str());
-        return 1;
-    }
-    std::fputs(outcome.output.c_str(), stdout);
-    return 0;
+    return printOutcome(
+        core::runSensitivityQuery(session.context(), opts.args[0]));
 }
 
 int
 cmdExport(const CliOptions &opts)
 {
-    if (opts.args.empty())
-        usage(1);
-    std::vector<suites::BenchmarkInfo> list;
-    if (opts.args[0] == "cpu2017")
-        list = suites::spec2017();
-    else if (opts.args[0] == "cpu2006")
-        list = suites::spec2006();
-    else if (opts.args[0] == "emerging")
-        list = suites::emergingBenchmarks();
-    else
-        usage(1);
-
+    std::vector<suites::BenchmarkInfo> list = suiteNamed(opts.args[0]);
     core::AnalysisSession session = makeSession(opts);
     core::Characterizer &characterizer = session.characterizer();
     stats::Matrix features = characterizer.featureMatrix(list);
 
     if (opts.args.size() > 1) {
-        std::ofstream file(opts.args[1]);
-        if (!file) {
-            std::fprintf(stderr, "cannot open %s\n",
-                         opts.args[1].c_str());
+        if (!writeFile(opts.args[1], [&](std::ostream &out) {
+                core::writeCsv(out, suites::benchmarkNames(list),
+                               characterizer.featureNames(), features);
+            }))
             return 1;
-        }
-        core::writeCsv(file, suites::benchmarkNames(list),
-                       characterizer.featureNames(), features);
         std::printf("wrote %zu rows x %zu features to %s\n",
                     features.rows(), features.cols(),
                     opts.args[1].c_str());
@@ -549,38 +284,20 @@ cmdExport(const CliOptions &opts)
 int
 cmdReport(const CliOptions &opts)
 {
-    if (opts.args.empty())
-        usage(1);
     std::vector<suites::BenchmarkInfo> suite;
     core::SuiteReportOptions report;
-    const std::string &which = opts.args[0];
-    if (which == "speed-int") {
-        suite = suites::spec2017SpeedInt();
-        report.validation_category = suites::Category::SpeedInt;
-    } else if (which == "rate-int") {
-        suite = suites::spec2017RateInt();
-        report.validation_category = suites::Category::RateInt;
-    } else if (which == "speed-fp") {
-        suite = suites::spec2017SpeedFp();
-        report.validation_category = suites::Category::SpeedFp;
-    } else if (which == "rate-fp") {
-        suite = suites::spec2017RateFp();
-        report.validation_category = suites::Category::RateFp;
-    } else {
+    if (!core::resolveCategory(opts.args[0], suite,
+                               report.validation_category))
         usage(1);
-    }
-    report.title = "SpecLens report: SPEC CPU2017 " + which;
+    report.title = "SpecLens report: SPEC CPU2017 " + opts.args[0];
 
     core::AnalysisSession session = makeSession(opts);
     core::Characterizer &characterizer = session.characterizer();
     if (opts.args.size() > 1) {
-        std::ofstream file(opts.args[1]);
-        if (!file) {
-            std::fprintf(stderr, "cannot open %s\n",
-                         opts.args[1].c_str());
+        if (!writeFile(opts.args[1], [&](std::ostream &out) {
+                core::writeSuiteReport(out, characterizer, suite, report);
+            }))
             return 1;
-        }
-        core::writeSuiteReport(file, characterizer, suite, report);
         std::printf("wrote report to %s\n", opts.args[1].c_str());
     } else {
         core::writeSuiteReport(std::cout, characterizer, suite,
@@ -592,36 +309,36 @@ cmdReport(const CliOptions &opts)
 int
 cmdSimpoints(const CliOptions &opts)
 {
-    if (opts.args.empty())
-        usage(1);
-    const suites::BenchmarkInfo *benchmark = lookup(opts.args[0]);
-    if (!benchmark) {
-        std::fprintf(stderr, "unknown benchmark: %s\n",
-                     opts.args[0].c_str());
-        return 1;
-    }
-    std::size_t phases = 8;
-    std::size_t clusters = 3;
-    if (opts.args.size() > 1 &&
-        !parsePositional("phases", opts.args[1], phases))
-        return 1;
-    if (opts.args.size() > 2 &&
-        !parsePositional("clusters", opts.args[2], clusters))
-        return 1;
+    std::size_t phases =
+        opts.args.size() > 1
+            ? core::numericValue("phases", opts.args[1].c_str())
+            : 8;
+    std::size_t clusters =
+        opts.args.size() > 2
+            ? core::numericValue("clusters", opts.args[2].c_str())
+            : 3;
     if (phases < 1 || clusters < 1 || clusters > phases) {
         std::fprintf(stderr,
                      "need phases >= 1 and 1 <= clusters <= phases\n");
         return 1;
     }
 
+    core::AnalysisSession session =
+        makeSession(opts, {suites::skylakeMachine()});
+    const suites::BenchmarkInfo *benchmark =
+        session.context().findBenchmark(opts.args[0]);
+    if (!benchmark) {
+        std::fprintf(stderr, "unknown benchmark: %s\n",
+                     opts.args[0].c_str());
+        return 1;
+    }
     trace::PhasedWorkload workload =
         trace::derivePhases(benchmark->profile, phases, 0.35);
     core::SimPointConfig config;
     config.clusters = clusters;
-    config.instructions = opts.instructions;
-    config.warmup = opts.warmup;
-    core::AnalysisSession session =
-        makeSession(opts, {suites::skylakeMachine()});
+    const core::Window window = opts.session.window(kCliWindow);
+    config.instructions = window.instructions;
+    config.warmup = window.warmup;
     core::SimPointResult result = core::simpointEstimate(
         workload, suites::skylakeMachine(), config, session.store());
 
@@ -654,12 +371,9 @@ cmdCampaignRun(const CliOptions &opts)
     std::string which =
         opts.args.size() > 1 ? opts.args[1] : std::string("cpu2017");
     std::vector<std::vector<suites::BenchmarkInfo>> suite_sets;
-    if (which == "cpu2017" || which == "all")
-        suite_sets.push_back(suites::spec2017());
-    if (which == "cpu2006" || which == "all")
-        suite_sets.push_back(suites::spec2006());
-    if (which == "emerging" || which == "all")
-        suite_sets.push_back(suites::emergingBenchmarks());
+    for (const char *name : {"cpu2017", "cpu2006", "emerging"})
+        if (which == name || which == "all")
+            suite_sets.push_back(suiteNamed(name));
     if (suite_sets.empty())
         usage(1);
 
@@ -678,7 +392,7 @@ cmdCampaignRun(const CliOptions &opts)
 int
 cmdCampaignInfo(const CliOptions &opts)
 {
-    core::CampaignStore store(opts.store_dir);
+    core::CampaignStore store(opts.session.store_dir);
     std::vector<core::StoreEntryInfo> entries = store.scan();
 
     core::TextTable table({"Entry", "Benchmark", "Machine", "Window",
@@ -715,7 +429,7 @@ int
 cmdCampaignManifest(const CliOptions &opts)
 {
     std::string path =
-        opts.store_dir + "/" + obs::kManifestFileName;
+        opts.session.store_dir + "/" + obs::kManifestFileName;
     std::ifstream file(path, std::ios::binary);
     if (!file) {
         std::fprintf(stderr,
@@ -752,21 +466,20 @@ cmdCampaignInvalidate(const CliOptions &opts)
     bool stale_only = opts.args.size() > 1 && opts.args[1] == "stale";
     if (opts.args.size() > 1 && !stale_only)
         usage(1);
-    core::CampaignStore store(opts.store_dir);
+    core::CampaignStore store(opts.session.store_dir);
     std::size_t removed =
         stale_only ? store.invalidateStale() : store.invalidate();
     std::printf("removed %zu %sentr%s from %s\n", removed,
                 stale_only ? "inconsistent " : "",
-                removed == 1 ? "y" : "ies", opts.store_dir.c_str());
+                removed == 1 ? "y" : "ies",
+                opts.session.store_dir.c_str());
     return 0;
 }
 
 int
 cmdCampaign(const CliOptions &opts)
 {
-    if (opts.args.empty())
-        usage(1);
-    if (opts.store_dir.empty()) {
+    if (opts.session.store_dir.empty()) {
         std::fprintf(stderr,
                      "error: campaign %s requires --store DIR\n",
                      opts.args[0].c_str());
@@ -774,10 +487,12 @@ cmdCampaign(const CliOptions &opts)
     }
     if (opts.args[0] == "run")
         return cmdCampaignRun(opts);
-    if (opts.args[0] == "info")
-        return cmdCampaignInfo(opts);
     if (opts.args[0] == "invalidate")
         return cmdCampaignInvalidate(opts);
+    if (opts.args.size() > 1)
+        usage(1);
+    if (opts.args[0] == "info")
+        return cmdCampaignInfo(opts);
     if (opts.args[0] == "manifest")
         return cmdCampaignManifest(opts);
     usage(1);
@@ -803,11 +518,7 @@ cmdServe(const CliOptions &opts)
     serve::ServerConfig config;
     config.host = opts.host;
     config.port = opts.port;
-    config.service.characterization.instructions = opts.instructions;
-    config.service.characterization.warmup = opts.warmup;
-    config.service.characterization.seed_salt = opts.seed_salt;
-    config.service.characterization.jobs = opts.jobs;
-    config.service.store_dir = opts.store_dir;
+    config.service = core::serviceConfig(opts.session, kCliWindow);
 
     serve::Server server(config);
     std::string error;
@@ -840,8 +551,6 @@ cmdServe(const CliOptions &opts)
 int
 cmdQuery(const CliOptions &opts)
 {
-    if (opts.args.empty())
-        usage(1);
     serve::Request request;
     if (!serve::opFromName(opts.args[0], request.op))
         usage(1);
@@ -858,9 +567,8 @@ cmdQuery(const CliOptions &opts)
     case serve::Op::Subset:
         if (opts.args.size() > 1)
             request.category = opts.args[1];
-        if (opts.args.size() > 2 &&
-            !parsePositional("k", opts.args[2], request.k))
-            return 1;
+        if (opts.args.size() > 2)
+            request.k = core::numericValue("k", opts.args[2].c_str());
         break;
     case serve::Op::Sensitivity:
         if (opts.args.size() > 1)
@@ -891,28 +599,28 @@ cmdQuery(const CliOptions &opts)
 }
 
 /**
- * Highest N among BENCH_<N>.json files in @p dir, or -1 when none
- * exist.  Drives both --pr auto-detection (next PR = highest + 1) and
- * the previous-artifact lookup for the delta table.
+ * The N of every BENCH_<N>.json in the working directory, named as the
+ * artifact writer names it (no sign, no leading zero) with N + 1 still
+ * an int.  One scan serves --pr auto-detection and the delta table's
+ * previous-artifact lookup.
  */
-int
-highestBenchPr(const std::filesystem::path &dir)
+std::set<int>
+benchArtifactNumbers()
 {
-    int highest = -1;
+    std::set<int> numbers;
     std::error_code ec;
-    for (const auto &entry :
-         std::filesystem::directory_iterator(dir, ec)) {
-        std::string name = entry.path().filename().string();
-        if (name.size() <= 11 || name.rfind("BENCH_", 0) != 0 ||
-            name.substr(name.size() - 5) != ".json")
-            continue;
-        std::string digits = name.substr(6, name.size() - 11);
-        if (digits.empty() ||
-            digits.find_first_not_of("0123456789") != std::string::npos)
-            continue;
-        highest = std::max(highest, std::atoi(digits.c_str()));
+    for (const auto &entry : std::filesystem::directory_iterator(".", ec)) {
+        const std::string name = entry.path().filename().string();
+        std::uint64_t n = 0;
+        if (name.size() > 11 && name.rfind("BENCH_", 0) == 0 &&
+            core::parseUnsigned(std::string_view(name).substr(
+                                    6, name.size() - 11),
+                                n) == core::ParseStatus::Ok &&
+            n < INT_MAX &&
+            name == core::trajectoryArtifactName(static_cast<int>(n)))
+            numbers.insert(static_cast<int>(n));
     }
-    return highest;
+    return numbers;
 }
 
 /**
@@ -961,56 +669,34 @@ printTrajectoryDelta(const std::string &prev_path,
 }
 
 int
-cmdBenchTrajectory(const CliOptions &opts)
+cmdBench(const CliOptions &opts)
 {
+    if (opts.args[0] != "trajectory")
+        usage(1);
     core::TrajectoryConfig config;
     // The pinned window, not the CLI defaults — explicit flags win.
-    config.instructions = opts.instructions_set
-                              ? opts.instructions
-                              : core::kTrajectoryInstructions;
-    config.warmup =
-        opts.warmup_set ? opts.warmup : core::kTrajectoryWarmup;
-    config.seed_salt = opts.seed_salt;
-    config.store_dir = opts.store_dir;
+    const core::Window window = opts.session.window(
+        {core::kTrajectoryInstructions, core::kTrajectoryWarmup});
+    config.instructions = window.instructions;
+    config.warmup = window.warmup;
+    config.seed_salt = opts.session.seed_salt;
+    config.store_dir = opts.session.store_dir;
 
-    std::string out_path;
-    bool pr_given = false;
-    for (std::size_t i = 1; i < opts.args.size(); ++i) {
-        const std::string &arg = opts.args[i];
-        if (arg == "--pr" || arg == "--out") {
-            if (i + 1 >= opts.args.size()) {
-                std::fprintf(stderr, "error: %s requires a value\n",
-                             arg.c_str());
-                return 1;
-            }
-            if (arg == "--out") {
-                out_path = opts.args[++i];
-            } else {
-                std::size_t pr = 0;
-                if (!parsePositional("--pr", opts.args[++i], pr))
-                    return 1;
-                config.pr = static_cast<int>(pr);
-                pr_given = true;
-            }
-        } else {
-            std::fprintf(stderr,
-                         "error: bench trajectory: unknown argument "
-                         "'%s'\n",
-                         arg.c_str());
-            return 1;
-        }
-    }
-    if (!pr_given) {
+    const std::set<int> artifacts = benchArtifactNumbers();
+    if (opts.pr) {
+        config.pr = *opts.pr;
+    } else {
         // No --pr: continue the committed trajectory — one past the
         // highest BENCH_<n>.json in the working directory.
-        config.pr = highestBenchPr(".") + 1;
+        config.pr = artifacts.empty() ? 0 : *artifacts.rbegin() + 1;
         std::fprintf(stderr,
                      "[speclens-bench] --pr not given; auto-detected "
                      "--pr %d\n",
                      config.pr);
     }
-    if (out_path.empty())
-        out_path = core::trajectoryArtifactName(config.pr);
+    const std::string out_path = opts.out_path.empty()
+                                     ? core::trajectoryArtifactName(config.pr)
+                                     : opts.out_path;
 
     core::TrajectoryResult result = core::runTrajectory(config);
 
@@ -1025,27 +711,18 @@ cmdBenchTrajectory(const CliOptions &opts)
                      "error: rendered trajectory JSON is malformed\n");
         return 1;
     }
-    std::ofstream file(out_path);
-    file << json;
-    if (!file) {
-        std::fprintf(stderr, "error: cannot write %s\n",
-                     out_path.c_str());
+    if (!writeFile(out_path, [&](std::ostream &out) { out << json; }))
         return 1;
-    }
-    file.close();
     std::fprintf(stderr,
                  "[speclens-bench] wrote %s: fused=%.3fs stats=%.3fs\n",
                  out_path.c_str(), result.fused_seconds,
                  result.stats_seconds);
 
     // Delta table against the most recent earlier artifact.
-    for (int prev = config.pr - 1; prev >= 0; --prev) {
-        std::string prev_path = core::trajectoryArtifactName(prev);
-        if (std::filesystem::exists(prev_path)) {
-            printTrajectoryDelta(prev_path, result);
-            break;
-        }
-    }
+    auto next = artifacts.lower_bound(config.pr);
+    if (next != artifacts.begin())
+        printTrajectoryDelta(
+            core::trajectoryArtifactName(*std::prev(next)), result);
 
     // Exit code doubles as the contract check: when a store was given,
     // warm reuse must hold.
@@ -1053,14 +730,6 @@ cmdBenchTrajectory(const CliOptions &opts)
               (result.warm_bit_identical &&
                result.warm_simulations_run == 0);
     return ok ? 0 : 1;
-}
-
-int
-cmdBench(const CliOptions &opts)
-{
-    if (opts.args.empty() || opts.args[0] != "trajectory")
-        usage(1);
-    return cmdBenchTrajectory(opts);
 }
 
 // ====================================================================
@@ -1109,21 +778,14 @@ campaignFingerprint(const std::vector<suites::BenchmarkInfo> &benchmarks,
 int
 cmdAudit(const CliOptions &opts)
 {
-    if (!opts.args.empty()) {
-        std::fprintf(stderr,
-                     "error: audit takes no arguments, got '%s'\n",
-                     opts.args[0].c_str());
-        return 1;
-    }
-
     // Pinned window unless overridden: large enough to exercise
     // prewarm, warm-up exclusion and sampled mid-run audit points,
     // small enough that 7 replays of the campaign stay fast.
+    const core::Window pinned = opts.session.window({60'000, 20'000});
     uarch::SimulationConfig window;
-    window.instructions =
-        opts.instructions_set ? opts.instructions : 60'000;
-    window.warmup = opts.warmup_set ? opts.warmup : 20'000;
-    window.seed_salt = opts.seed_salt;
+    window.instructions = pinned.instructions;
+    window.warmup = pinned.warmup;
+    window.seed_salt = opts.session.seed_salt;
 
     const std::vector<suites::BenchmarkInfo> benchmarks =
         auditBenchmarks();
@@ -1165,7 +827,7 @@ cmdAudit(const CliOptions &opts)
         core::CharacterizationConfig config;
         config.instructions = window.instructions;
         config.warmup = window.warmup;
-        config.seed_salt = opts.seed_salt + salt_offset;
+        config.seed_salt = opts.session.seed_salt + salt_offset;
         std::uint64_t first = 0;
         bool agree = true;
         for (std::size_t jobs : {std::size_t{1}, std::size_t{2},
@@ -1210,15 +872,6 @@ cmdAudit(const CliOptions &opts)
 int
 cmdLint(const CliOptions &opts)
 {
-    // lint is a verification gate: a stray token is more likely a
-    // misspelled flag than an intentional argument, so fail loudly
-    // instead of silently linting with default settings.
-    if (!opts.args.empty()) {
-        std::fprintf(stderr, "error: lint takes no arguments, got '%s'\n",
-                     opts.args[0].c_str());
-        return 1;
-    }
-
     lint::ReportFormat format;
     lint::Severity min_severity;
     try {
@@ -1231,10 +884,11 @@ cmdLint(const CliOptions &opts)
 
     lint::LintContext context = lint::shippedContext();
     context.deep = opts.deep;
-    context.instructions = opts.instructions;
-    context.warmup = opts.warmup;
-    context.jobs = opts.jobs;
-    context.store_dir = opts.store_dir;
+    const core::Window window = opts.session.window(kCliWindow);
+    context.instructions = window.instructions;
+    context.warmup = window.warmup;
+    context.jobs = opts.session.jobs;
+    context.store_dir = opts.session.store_dir;
     context.bench_dir = opts.bench_dir;
 
     lint::LintReport report = lint::Linter().run(context);
@@ -1249,48 +903,232 @@ cmdLint(const CliOptions &opts)
     return report.clean() ? 0 : 1;
 }
 
+// ----- the command table ---------------------------------------------
+
+/** Positional arity without an upper bound. */
+constexpr std::size_t kMany = SIZE_MAX;
+
+/** One CLI command. */
+struct Command
+{
+    const char *name;
+
+    /**
+     * Help lines, "synopsis\thelp text" each; the help text starts in
+     * column 36, and a line without a tab is synopsis only.
+     */
+    const char *help;
+
+    /** The command-specific flags it accepts. */
+    std::vector<std::string_view> flags;
+
+    std::size_t min_args; //!< Fewest positional arguments.
+    std::size_t max_args; //!< Most positional arguments.
+    int (*run)(const CliOptions &opts);
+};
+
+const Command kCommands[] = {
+    {"help", "", {}, 0, 0, [](const CliOptions &) -> int { usage(0); }},
+    {"list", "list [cpu2017|cpu2006|emerging]\tlist benchmarks", {}, 0, 1,
+     cmdList},
+    {"machines", "machines\tlist machine models", {}, 0, 0, cmdMachines},
+    {"characterize", "characterize <bench>...\tmetric report", {}, 1, kMany,
+     cmdCharacterize},
+    {"memory",
+     "memory <bench>...\tmemory-centric report\n"
+     "\t(prefetch coverage/accuracy/\n"
+     "\ttimeliness, way prediction,\n"
+     "\tDRAM row-buffer + bandwidth)",
+     {}, 1, kMany, cmdMemory},
+    {"subset",
+     "subset <speed-int|rate-int|speed-fp|rate-fp> [k]\n"
+     "\trepresentative subset",
+     {}, 1, 2, cmdSubset},
+    {"inputs", "inputs <int|fp>\trepresentative inputs", {}, 1, 1,
+     cmdInputs},
+    {"coverage", "coverage <bench>...\tCPU2017 coverage verdicts", {}, 1,
+     kMany, cmdCoverage},
+    {"sensitivity", "sensitivity <branch|l1d|dtlb>\tsensitivity classes",
+     {}, 1, 1, cmdSensitivity},
+    {"export",
+     "export <cpu2017|cpu2006|emerging> [file.csv]\n"
+     "\tfeature matrix as CSV",
+     {}, 1, 2, cmdExport},
+    {"report",
+     "report <speed-int|rate-int|speed-fp|rate-fp> [file.md]\n"
+     "\tfull markdown suite report",
+     {}, 1, 2, cmdReport},
+    {"simpoints",
+     "simpoints <bench> [phases] [clusters]\n"
+     "\tphase-reduction estimate",
+     {}, 1, 3, cmdSimpoints},
+    {"campaign",
+     "campaign run [cpu2017|cpu2006|emerging|all]\n"
+     "\tpopulate the --store with a\n"
+     "\tfull characterization\n"
+     "campaign info\tdescribe and verify every\n"
+     "\t--store entry\n"
+     "campaign invalidate [stale]\tdelete all (or only bad)\n"
+     "\t--store entries\n"
+     "campaign manifest\tvalidate the run manifest\n"
+     "\twritten next to the --store",
+     {}, 1, 2, cmdCampaign},
+    {"serve",
+     "serve [--host A] [--port N]\tlong-running daemon; answers\n"
+     "\tqueries over a loopback TCP\n"
+     "\tsocket (port 0 = ephemeral,\n"
+     "\tprinted on the 'listening'\n"
+     "\tline; SIGTERM drains)",
+     {"--host", "--port"}, 0, 0, cmdServe},
+    {"query",
+     "query <characterize|memory|subset|sensitivity|stats|\n"
+     "       shutdown>\n"
+     "      [args] --port N [--host A]\task a running daemon; output\n"
+     "\tis byte-identical to the\n"
+     "\tbatch command",
+     {"--host", "--port"}, 1, kMany, cmdQuery},
+    {"bench",
+     "bench trajectory [--pr N] [--out FILE]\n"
+     "\tpinned perf campaign; facts\n"
+     "\tto stdout, BENCH_<pr>.json\n"
+     "\twith timings to FILE; no\n"
+     "\t--pr: highest BENCH_* + 1,\n"
+     "\tdelta table on stderr",
+     {"--pr", "--out"}, 1, 1, cmdBench},
+    {"lint",
+     "lint [--format text|json] [--severity info|warning|error]\n"
+     "     [--no-deep] [--store DIR]\tverify models and tables\n"
+     "     [--bench DIR]\t(and store integrity plus\n"
+     "\tBENCH/manifest artifacts)",
+     {"--format", "--severity", "--no-deep", "--bench"}, 0, 0, cmdLint},
+    {"audit",
+     "audit\tprove structural invariants\n"
+     "\tover a pinned mini-campaign\n"
+     "\tand replay it across job\n"
+     "\tcounts and seed salts,\n"
+     "\tdiffing result fingerprints",
+     {}, 0, 0, cmdAudit},
+};
+
+/** A command's help lines, rendered. */
+std::string
+commandHelp(const Command &command)
+{
+    std::string out;
+    std::string_view rest = command.help;
+    while (!rest.empty()) {
+        std::string_view line = rest.substr(0, rest.find('\n'));
+        rest.remove_prefix(std::min(rest.size(), line.size() + 1));
+        std::size_t tab = line.find('\t');
+        std::string text = "  " + std::string(line.substr(0, tab));
+        if (tab != std::string_view::npos) {
+            text.resize(std::max<std::size_t>(text.size() + 1, 36), ' ');
+            text += line.substr(tab + 1);
+        }
+        out += text + '\n';
+    }
+    return out;
+}
+
+[[noreturn]] void
+usage(int code)
+{
+    std::string text =
+        core::sessionUsage("usage: speclens <command> [args]", 16) +
+        "\ncommands:\n";
+    for (const Command &command : kCommands)
+        text += commandHelp(command);
+    std::fputs(text.c_str(), code == 0 ? stdout : stderr);
+    std::exit(code);
+}
+
+/** Take command flag argv[i] (and its value) into @p opts. */
+void
+takeCommandFlag(CliOptions &opts, int argc, char **argv, int &i)
+{
+    const std::string_view flag = argv[i];
+    if (flag == "--host") {
+        opts.host = core::stringFlagValue("--host", argc, argv, i);
+    } else if (flag == "--port") {
+        std::uint64_t port = core::numericFlagValue("--port", argc, argv, i);
+        if (port > 65535) {
+            std::fprintf(stderr, "error: --port must be <= 65535\n");
+            std::exit(1);
+        }
+        opts.port = static_cast<std::uint16_t>(port);
+    } else if (flag == "--format") {
+        opts.format = core::stringFlagValue("--format", argc, argv, i);
+    } else if (flag == "--severity") {
+        opts.severity = core::stringFlagValue("--severity", argc, argv, i);
+    } else if (flag == "--no-deep") {
+        opts.deep = false;
+    } else if (flag == "--bench") {
+        opts.bench_dir = core::stringFlagValue("--bench", argc, argv, i);
+    } else if (flag == "--pr") {
+        std::uint64_t pr = core::numericFlagValue("--pr", argc, argv, i);
+        if (pr > INT_MAX) {
+            std::fprintf(stderr, "error: --pr must be <= %d\n", INT_MAX);
+            std::exit(1);
+        }
+        opts.pr = static_cast<int>(pr);
+    } else if (flag == "--out") {
+        opts.out_path = core::stringFlagValue("--out", argc, argv, i);
+    }
+}
+
+/**
+ * Parse argv[2, argc) for @p command: session flags, the command's own
+ * flags and its positional arguments.  Exits 1 on anything else.
+ */
+CliOptions
+parse(const Command &command, int argc, char **argv)
+{
+    CliOptions opts;
+    opts.session = core::parseSessionFlags(argc, argv, 2, [&](int &i) {
+        const std::string_view arg = argv[i];
+        if (arg == "--help")
+            usage(0);
+        if (arg.rfind("--", 0) != 0) {
+            opts.args.emplace_back(arg);
+            return true;
+        }
+        if (std::find(command.flags.begin(), command.flags.end(), arg) ==
+            command.flags.end())
+            return false;
+        takeCommandFlag(opts, argc, argv, i);
+        return true;
+    });
+    if (opts.args.size() < command.min_args ||
+        opts.args.size() > command.max_args) {
+        std::fprintf(stderr, "error: wrong number of arguments to %s\n%s",
+                     command.name, commandHelp(command).c_str());
+        std::exit(1);
+    }
+    return opts;
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    CliOptions opts = parse(argc, argv);
-    if (opts.command == "list")
-        return cmdList(opts);
-    if (opts.command == "machines")
-        return cmdMachines();
-    if (opts.command == "characterize")
-        return cmdCharacterize(opts);
-    if (opts.command == "memory")
-        return cmdMemory(opts);
-    if (opts.command == "subset")
-        return cmdSubset(opts);
-    if (opts.command == "inputs")
-        return cmdInputs(opts);
-    if (opts.command == "coverage")
-        return cmdCoverage(opts);
-    if (opts.command == "sensitivity")
-        return cmdSensitivity(opts);
-    if (opts.command == "export")
-        return cmdExport(opts);
-    if (opts.command == "report")
-        return cmdReport(opts);
-    if (opts.command == "simpoints")
-        return cmdSimpoints(opts);
-    if (opts.command == "campaign")
-        return cmdCampaign(opts);
-    if (opts.command == "serve")
-        return cmdServe(opts);
-    if (opts.command == "query")
-        return cmdQuery(opts);
-    if (opts.command == "bench")
-        return cmdBench(opts);
-    if (opts.command == "audit")
-        return cmdAudit(opts);
-    if (opts.command == "lint")
-        return cmdLint(opts);
-    if (opts.command == "help" || opts.command == "--help")
+    if (argc < 2)
+        usage(1);
+    if (std::strcmp(argv[1], "--help") == 0)
         usage(0);
-    std::fprintf(stderr, "unknown command: %s\n", opts.command.c_str());
-    usage(1);
+    const Command *command = std::find_if(
+        std::begin(kCommands), std::end(kCommands),
+        [&](const Command &c) { return std::strcmp(c.name, argv[1]) == 0; });
+    if (command == std::end(kCommands)) {
+        std::fprintf(stderr, "unknown command: %s\n", argv[1]);
+        usage(1);
+    }
+    int code = command->run(parse(*command, argc, argv));
+    // One flush for everything the handler printed: output lost to a
+    // full disk or a closed pipe fails the command.
+    if (std::fflush(stdout) != 0 || std::ferror(stdout)) {
+        std::fprintf(stderr, "error: cannot write to stdout\n");
+        return 1;
+    }
+    return code;
 }
