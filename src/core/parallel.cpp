@@ -135,7 +135,12 @@ parallelFor(std::size_t count, std::size_t jobs,
         std::rethrow_exception(first_error);
 }
 
-ThreadPool::ThreadPool(std::size_t workers)
+ThreadPool::ThreadPool(std::size_t workers,
+                       const std::string &metric_prefix)
+    : queue_wait_(obs::Registry::global().timing(metric_prefix +
+                                                 ".queue_wait")),
+      pool_tasks_(obs::Registry::global().counter(metric_prefix +
+                                                  ".pool_tasks"))
 {
     std::size_t n = resolveJobCount(workers);
     workers_.reserve(n);
@@ -190,10 +195,6 @@ ThreadPool::wait()
 void
 ThreadPool::workerLoop()
 {
-    static obs::Timing &queue_wait =
-        obs::Registry::global().timing("core.parallel.queue_wait");
-    static obs::Counter &pool_tasks =
-        obs::Registry::global().counter("core.parallel.pool_tasks");
     for (;;) {
         QueuedTask task;
         {
@@ -208,8 +209,8 @@ ThreadPool::workerLoop()
             ++running_;
         }
         if constexpr (obs::kMetricsEnabled) {
-            queue_wait.record(obs::nowNs() - task.enqueued_ns);
-            pool_tasks.add();
+            queue_wait_.record(obs::nowNs() - task.enqueued_ns);
+            pool_tasks_.add();
         }
         try {
             task.fn();

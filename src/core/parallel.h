@@ -35,10 +35,16 @@
 #include <exception>
 #include <functional>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
 namespace speclens {
+namespace obs {
+class Counter;
+class Timing;
+} // namespace obs
+
 namespace core {
 
 /**
@@ -76,12 +82,22 @@ void parallelFor(std::size_t count, std::size_t jobs,
  * others are dropped).  The destructor drains the queue before
  * joining, so letting a pool die is equivalent to wait() minus the
  * rethrow.
+ *
+ * Each pool records `<prefix>.queue_wait` (time a task waited for a
+ * worker) and `<prefix>.pool_tasks`.  A pool whose tasks are not
+ * campaign work (the serve daemon's connections) passes its own prefix
+ * so they stay out of `core.parallel.*`.
  */
 class ThreadPool
 {
   public:
-    /** @param workers Worker threads; 0 means defaultJobCount(). */
-    explicit ThreadPool(std::size_t workers = 0);
+    /**
+     * @param workers Worker threads; 0 means defaultJobCount().
+     * @param metric_prefix Prefix of the pool's obs metric names.
+     */
+    explicit ThreadPool(
+        std::size_t workers = 0,
+        const std::string &metric_prefix = "core.parallel");
 
     /** Drains outstanding tasks, then joins all workers. */
     ~ThreadPool();
@@ -111,6 +127,8 @@ class ThreadPool
 
     void workerLoop();
 
+    obs::Timing &queue_wait_;
+    obs::Counter &pool_tasks_;
     std::vector<std::thread> workers_;
     std::deque<QueuedTask> queue_;
     std::mutex mutex_;

@@ -7,6 +7,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -47,6 +48,10 @@ Client::connect(const std::string &host, std::uint16_t port,
         close();
         return false;
     }
+    // Each request is one small write followed by a wait for the reply;
+    // Nagle would only add delay.
+    int one = 1;
+    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     return true;
 }
 
@@ -59,17 +64,23 @@ Client::call(const Request &request, Response *response,
             *error = "not connected";
         return false;
     }
-    if (!writeFrame(fd_, encodeRequest(request))) {
+    const std::string frame = encodeRequest(request);
+    if (frame.size() > kMaxFrameBytes) {
         if (error)
-            *error = "send failed";
+            *error = "request too large";
         close();
         return false;
     }
+    // The daemon answers a refusal (busy, oversize request) and closes
+    // without reading the whole request, which can fail the send; the
+    // reply is still waiting to be read.
+    const bool sent = writeFrame(fd_, frame);
     std::string payload;
     FrameStatus status = readFrame(fd_, payload);
     if (status != FrameStatus::Ok) {
         if (error)
-            *error = status == FrameStatus::Eof
+            *error = !sent ? "send failed"
+                     : status == FrameStatus::Eof
                          ? "server closed the connection"
                          : "receive failed";
         close();

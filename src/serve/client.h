@@ -45,6 +45,8 @@ class Client
      * @p error set) on transport failure — the connection is closed
      * and must be re-established.  A rejected query is NOT a
      * transport failure: call() returns true with response.ok false.
+     * That includes the daemon's refusals (busy, request too large),
+     * which arrive even when sending the request failed.
      */
     bool call(const Request &request, Response *response,
               std::string *error);

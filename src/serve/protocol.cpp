@@ -7,6 +7,7 @@
 
 #include <sys/socket.h>
 #include <sys/types.h>
+#include <sys/uio.h>
 
 #include <cerrno>
 
@@ -19,7 +20,10 @@ namespace {
 
 // ----- Socket helpers --------------------------------------------------
 
-/** recv() exactly @p count bytes; 0 = clean EOF at offset 0. */
+/**
+ * recv() exactly @p count bytes.  Eof and Timeout only when nothing
+ * arrived; a close or timeout after the first byte is an Error.
+ */
 FrameStatus
 recvAll(int fd, void *buffer, std::size_t count)
 {
@@ -32,29 +36,13 @@ recvAll(int fd, void *buffer, std::size_t count)
         if (n < 0) {
             if (errno == EINTR)
                 continue;
+            if (done == 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
+                return FrameStatus::Timeout;
             return FrameStatus::Error;
         }
         done += static_cast<std::size_t>(n);
     }
     return FrameStatus::Ok;
-}
-
-/** send() all of @p count bytes (MSG_NOSIGNAL: no SIGPIPE). */
-bool
-sendAll(int fd, const void *buffer, std::size_t count)
-{
-    const char *in = static_cast<const char *>(buffer);
-    std::size_t done = 0;
-    while (done < count) {
-        ssize_t n = ::send(fd, in + done, count - done, MSG_NOSIGNAL);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        done += static_cast<std::size_t>(n);
-    }
-    return true;
 }
 
 } // namespace
@@ -231,9 +219,36 @@ writeFrame(int fd, const std::string &payload)
         static_cast<unsigned char>((length >> 8) & 0xff),
         static_cast<unsigned char>(length & 0xff),
     };
-    if (!sendAll(fd, header, sizeof(header)))
-        return false;
-    return sendAll(fd, payload.data(), payload.size());
+    iovec parts[2] = {
+        {header, sizeof(header)},
+        {const_cast<char *>(payload.data()), payload.size()},
+    };
+    msghdr message{};
+    message.msg_iov = parts;
+    message.msg_iovlen = 2;
+    // writev() cannot take MSG_NOSIGNAL; a peer that went away must
+    // fail the write, not raise SIGPIPE in the daemon.
+    while (message.msg_iovlen > 0) {
+        ssize_t n = ::sendmsg(fd, &message, MSG_NOSIGNAL);
+        if (n < 0) {
+            if (errno == EINTR)
+                continue;
+            return false;
+        }
+        auto sent = static_cast<std::size_t>(n);
+        while (message.msg_iovlen > 0 &&
+               sent >= message.msg_iov->iov_len) {
+            sent -= message.msg_iov->iov_len;
+            ++message.msg_iov;
+            --message.msg_iovlen;
+        }
+        if (message.msg_iovlen > 0) {
+            message.msg_iov->iov_base =
+                static_cast<char *>(message.msg_iov->iov_base) + sent;
+            message.msg_iov->iov_len -= sent;
+        }
+    }
+    return true;
 }
 
 } // namespace serve

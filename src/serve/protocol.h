@@ -45,8 +45,15 @@
 namespace speclens {
 namespace serve {
 
-/** Frames above this size are rejected (16 MiB, both directions). */
+/** Largest frame writeFrame sends and a client reads (16 MiB). */
 inline constexpr std::size_t kMaxFrameBytes = 16u << 20;
+
+/**
+ * The daemon's default cap on a request frame (64 KiB).  Real requests
+ * are under 1 KiB; the cap bounds what one hostile frame can make the
+ * daemon allocate and parse.
+ */
+inline constexpr std::size_t kMaxRequestBytes = 64u << 10;
 
 /** Request operation. */
 enum class Op {
@@ -118,18 +125,25 @@ bool decodeResponse(const std::string &payload, Response &response,
 enum class FrameStatus {
     Ok,       //!< Payload filled.
     Eof,      //!< Clean close before a header byte arrived.
-    Error,    //!< Socket error or mid-frame close.
+    Timeout,  //!< SO_RCVTIMEO expired before a header byte arrived.
+    Error,    //!< Socket error, mid-frame close or mid-frame timeout.
     TooLarge, //!< Declared length exceeds the limit.
 };
 
 /**
  * Read one length-prefixed frame from @p fd into @p payload.
- * Blocks until a full frame (or EOF/error) arrives.
+ * Blocks until a full frame (or EOF/error) arrives.  On TooLarge the
+ * payload is left unread, so the stream has lost its framing.
  */
 FrameStatus readFrame(int fd, std::string &payload,
                       std::size_t max_bytes = kMaxFrameBytes);
 
-/** Write one length-prefixed frame; false on error or oversize. */
+/**
+ * Write one length-prefixed frame: header and payload go out in one
+ * sendmsg() (so Nagle never holds the payload back behind the header),
+ * retried from where a partial write stopped.  False on error or when
+ * the payload exceeds kMaxFrameBytes.
+ */
 bool writeFrame(int fd, const std::string &payload);
 
 } // namespace serve

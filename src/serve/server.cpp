@@ -7,13 +7,20 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
+#include <exception>
+#include <thread>
 #include <utility>
 
+#include "core/parallel.h"
 #include "core/query_ops.h"
 #include "obs/metrics.h"
 
@@ -30,12 +37,51 @@ closeFd(int fd)
     }
 }
 
+/** Bump @p counter and the obs counter of the same meaning. */
+void
+count(std::atomic<std::size_t> &counter, const char *metric)
+{
+    counter.fetch_add(1, std::memory_order_relaxed);
+    obs::Registry::global().counter(metric).add(1);
+}
+
+/** TCP_NODELAY, and SO_RCVTIMEO/SO_SNDTIMEO of @p timeout_ms. */
+void
+configureConnection(int fd, std::uint32_t timeout_ms)
+{
+    int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    timeval timeout{};
+    timeout.tv_sec = static_cast<time_t>(timeout_ms / 1000);
+    timeout.tv_usec = static_cast<suseconds_t>(timeout_ms % 1000) * 1000;
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
+}
+
+/**
+ * End a refused connection's writes after its one reply: send FIN, then
+ * discard what the peer has already sent.  Closing with unread data
+ * makes the kernel answer RST, which can cut the reply off; a request
+ * that arrives after the close still draws an RST, and the reply then
+ * reaches the client only because it was delivered first.
+ */
+void
+finishRefusal(int fd)
+{
+    ::shutdown(fd, SHUT_WR);
+    char discard[4096];
+    while (::recv(fd, discard, sizeof(discard), MSG_DONTWAIT) > 0) {
+    }
+}
+
 } // namespace
 
 Server::Server(ServerConfig config)
     : config_(std::move(config)),
       context_(std::make_shared<core::ServiceContext>(config_.service))
 {
+    config_.max_connections =
+        std::max<std::size_t>(config_.max_connections, 1);
 }
 
 Server::~Server()
@@ -108,33 +154,76 @@ Server::requestDrain()
 void
 Server::serveForever()
 {
+    core::ThreadPool pool(config_.max_connections, "serve.pool");
+    constexpr std::chrono::milliseconds kMaxBackoff{100};
+    std::chrono::milliseconds backoff{0};
     while (!draining()) {
         int fd = ::accept(listen_fd_, nullptr, nullptr);
         if (fd < 0) {
-            if (errno == EINTR)
-                continue;
             // EINVAL/EBADF after requestDrain() shut the socket down.
-            break;
+            if (draining())
+                break;
+            if (errno == EINTR || errno == ECONNABORTED || errno == EPROTO)
+                continue;
+            // Out of fds or memory (EMFILE, ENFILE, ENOBUFS, ENOMEM), or
+            // an error accept(2) leaves unlisted: wait and retry.
+            count(accept_retries_, "serve.accept_retries");
+            backoff = backoff.count() == 0
+                          ? std::chrono::milliseconds{1}
+                          : std::min(backoff * 2, kMaxBackoff);
+            std::this_thread::sleep_for(backoff);
+            continue;
         }
-        std::lock_guard<std::mutex> lock(mutex_);
-        open_fds_[fd] = true;
-        handlers_.emplace_back(
-            [this, fd]() { handleConnection(fd); });
+        backoff = std::chrono::milliseconds{0};
+        if (!admit(fd)) {
+            refuse(fd);
+            continue;
+        }
+        pool.submit([this, fd]() { handleConnection(fd); });
     }
 
-    // Drain: half-close every connection still open so idle handlers
-    // see EOF; in-flight requests still write their response (the
-    // write side stays open).  Then join everyone.
-    std::vector<std::thread> handlers;
+    // Drain: half-close every live connection so idle workers see EOF;
+    // in-flight requests still write their response (the write side
+    // stays open).  Then wait for the pool.
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        for (const auto &[fd, serving] : open_fds_)
-            if (serving)
-                ::shutdown(fd, SHUT_RD);
-        handlers.swap(handlers_);
+        for (int fd : live_fds_)
+            ::shutdown(fd, SHUT_RD);
     }
-    for (std::thread &handler : handlers)
-        handler.join();
+    pool.wait();
+}
+
+bool
+Server::admit(int fd)
+{
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (live_fds_.size() >= config_.max_connections)
+            return false;
+        live_fds_.insert(fd);
+    }
+    configureConnection(fd, config_.idle_timeout_ms);
+    return true;
+}
+
+void
+Server::refuse(int fd)
+{
+    count(busy_, "serve.busy");
+    Response response;
+    response.error = "server busy: " +
+                     std::to_string(config_.max_connections) +
+                     " connections open, retry later";
+    writeFrame(fd, encodeResponse(response));
+    finishRefusal(fd);
+    closeFd(fd);
+}
+
+std::size_t
+Server::liveConnections() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return live_fds_.size();
 }
 
 Response
@@ -172,7 +261,13 @@ Server::dispatch(const Request &request)
             " dropped=" +
             std::to_string(dropped_.load(std::memory_order_relaxed)) +
             "\n" + context.summary() + "\nsimulations=" +
-            std::to_string(context.simulationsRun()) + "\n";
+            std::to_string(context.simulationsRun()) +
+            "\nconnections: live=" + std::to_string(liveConnections()) +
+            " busy=" +
+            std::to_string(busy_.load(std::memory_order_relaxed)) +
+            " idle_closed=" +
+            std::to_string(idle_closed_.load(std::memory_order_relaxed)) +
+            "\n";
         if (core::CampaignStore *store = context.store()) {
             core::StoreCounters c = store->counters();
             outcome.output +=
@@ -191,15 +286,13 @@ Server::dispatch(const Request &request)
     response.ok = outcome.ok;
     response.output = std::move(outcome.output);
     response.error = std::move(outcome.error);
-    if (!response.ok) {
-        obs::Registry::global().counter("serve.errors").add(1);
-        errors_.fetch_add(1, std::memory_order_relaxed);
-    }
+    if (!response.ok)
+        count(errors_, "serve.errors");
     return response;
 }
 
 void
-Server::handleConnection(int fd)
+Server::serveFrames(int fd)
 {
     std::string payload;
     while (true) {
@@ -207,25 +300,27 @@ Server::handleConnection(int fd)
             readFrame(fd, payload, config_.max_frame_bytes);
         if (status == FrameStatus::Eof)
             break;
+        if (status == FrameStatus::Timeout) {
+            count(idle_closed_, "serve.idle_closed");
+            break;
+        }
         if (status == FrameStatus::Error) {
-            obs::Registry::global().counter("serve.dropped").add(1);
-            dropped_.fetch_add(1, std::memory_order_relaxed);
+            count(dropped_, "serve.dropped");
             break;
         }
         Response response;
         if (status == FrameStatus::TooLarge) {
             response.error = "request frame too large";
-            errors_.fetch_add(1, std::memory_order_relaxed);
-            obs::Registry::global().counter("serve.errors").add(1);
+            count(errors_, "serve.errors");
             writeFrame(fd, encodeResponse(response));
+            finishRefusal(fd);
             break; // framing is lost after an unread oversize payload
         }
         Request request;
         std::string decode_error;
         if (!decodeRequest(payload, request, decode_error)) {
             response.error = decode_error;
-            errors_.fetch_add(1, std::memory_order_relaxed);
-            obs::Registry::global().counter("serve.errors").add(1);
+            count(errors_, "serve.errors");
             if (!writeFrame(fd, encodeResponse(response)))
                 break;
             continue;
@@ -237,14 +332,25 @@ Server::handleConnection(int fd)
             break;
         }
         if (!sent) {
-            dropped_.fetch_add(1, std::memory_order_relaxed);
-            obs::Registry::global().counter("serve.dropped").add(1);
+            count(dropped_, "serve.dropped");
             break;
         }
     }
+}
+
+void
+Server::handleConnection(int fd)
+{
+    // A request that throws (out of memory, say) loses its connection,
+    // not the worker or the fd.
+    try {
+        serveFrames(fd);
+    } catch (const std::exception &) {
+        count(dropped_, "serve.dropped");
+    }
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        open_fds_.erase(fd);
+        live_fds_.erase(fd);
     }
     closeFd(fd);
 }
@@ -256,6 +362,10 @@ Server::stats() const
     stats.requests = requests_.load(std::memory_order_relaxed);
     stats.errors = errors_.load(std::memory_order_relaxed);
     stats.dropped = dropped_.load(std::memory_order_relaxed);
+    stats.busy = busy_.load(std::memory_order_relaxed);
+    stats.idle_closed = idle_closed_.load(std::memory_order_relaxed);
+    stats.accept_retries = accept_retries_.load(std::memory_order_relaxed);
+    stats.live = liveConnections();
     return stats;
 }
 

@@ -13,12 +13,28 @@
  * the unmutated corpus parses, the decoders accept only what the
  * reader accepts, and every decoded request or response re-encodes
  * to an equal one.
+ *
+ * Framing gets the same treatment: byte streams with false length
+ * prefixes, truncated headers and payloads, zero-length frames and
+ * prefixes either side of the cap go through serve::readFrame over an
+ * AF_UNIX socketpair, and each status is checked against a reference
+ * parser of the same bytes.  A 1 MiB frame written into a small send
+ * buffer while signals interrupt the writer checks that writeFrame
+ * resumes partial writes.
  */
 
 #include <gtest/gtest.h>
 
+#include <pthread.h>
+#include <signal.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -207,4 +223,248 @@ TEST(JsonMutation, MutantsNeverCrashAndDecodesRoundTrip)
     EXPECT_GT(responses, 0u);
 }
 
+/** Big-endian 4-byte frame header declaring @p length. */
+std::string
+header(std::uint32_t length)
+{
+    return {static_cast<char>(length >> 24),
+            static_cast<char>(length >> 16),
+            static_cast<char>(length >> 8), static_cast<char>(length)};
+}
+
+/** One frame status, with the payload when it is Ok. */
+struct Frame
+{
+    serve::FrameStatus status = serve::FrameStatus::Ok;
+    std::string payload;
+
+    bool operator==(const Frame &) const = default;
+};
+
+/**
+ * The frames readFrame must report for @p wire followed by EOF, up to
+ * and including the first status other than Ok.
+ */
+std::vector<Frame>
+referenceFrames(const std::string &wire, std::size_t max_bytes)
+{
+    std::vector<Frame> frames;
+    auto last = [&frames](serve::FrameStatus status) {
+        frames.push_back({status, ""});
+        return frames;
+    };
+    for (std::size_t at = 0;;) {
+        const std::size_t left = wire.size() - at;
+        if (left == 0)
+            return last(serve::FrameStatus::Eof);
+        if (left < 4)
+            return last(serve::FrameStatus::Error);
+        std::uint32_t length = 0;
+        for (int i = 0; i < 4; ++i)
+            length = length << 8 |
+                     static_cast<unsigned char>(wire[at + i]);
+        if (length > max_bytes)
+            return last(serve::FrameStatus::TooLarge);
+        if (left - 4 < length)
+            return last(serve::FrameStatus::Error);
+        frames.push_back(
+            {serve::FrameStatus::Ok, wire.substr(at + 4, length)});
+        at += 4 + length;
+    }
+}
+
+/**
+ * Write @p wire into one end of a socketpair and close it, while
+ * readFrame reads the other end until a status other than Ok.
+ */
+std::vector<Frame>
+readFrames(const std::string &wire, std::size_t max_bytes)
+{
+    int fds[2];
+    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    std::thread writer([&]() {
+        std::size_t done = 0;
+        while (done < wire.size()) {
+            ssize_t n =
+                ::write(fds[1], wire.data() + done, wire.size() - done);
+            if (n <= 0)
+                break;
+            done += static_cast<std::size_t>(n);
+        }
+        ::close(fds[1]);
+    });
+    std::vector<Frame> frames;
+    do {
+        Frame &frame = frames.emplace_back();
+        frame.status = serve::readFrame(fds[0], frame.payload, max_bytes);
+        if (frame.status != serve::FrameStatus::Ok)
+            frame.payload.clear();
+    } while (frames.back().status == serve::FrameStatus::Ok);
+    writer.join();
+    ::close(fds[0]);
+    return frames;
+}
+
+std::string
+describe(const std::vector<Frame> &frames)
+{
+    std::string text;
+    for (const Frame &frame : frames)
+        text += "status " +
+                std::to_string(static_cast<int>(frame.status)) + " (" +
+                std::to_string(frame.payload.size()) + " bytes) ";
+    return text;
+}
+
 } // namespace
+
+TEST(FrameFuzz, HandPickedStreamsGetTheRightStatus)
+{
+    using serve::FrameStatus;
+    constexpr std::size_t kCap = 1024;
+    const std::string body(kCap + 1, 'x');
+    struct Case
+    {
+        const char *what;
+        std::string wire;
+        std::vector<FrameStatus> statuses;
+    };
+    const std::vector<Case> cases = {
+        {"empty stream", "", {FrameStatus::Eof}},
+        {"zero-length frame", header(0),
+         {FrameStatus::Ok, FrameStatus::Eof}},
+        {"two zero-length frames", header(0) + header(0),
+         {FrameStatus::Ok, FrameStatus::Ok, FrameStatus::Eof}},
+        {"1-byte header", header(7).substr(0, 1), {FrameStatus::Error}},
+        {"3-byte header", header(7).substr(0, 3), {FrameStatus::Error}},
+        {"truncated payload", header(10) + "12345", {FrameStatus::Error}},
+        {"prefix shorter than the payload", header(3) + "abcdef",
+         {FrameStatus::Ok, FrameStatus::Error}},
+        {"prefix at the cap", header(kCap) + body.substr(0, kCap),
+         {FrameStatus::Ok, FrameStatus::Eof}},
+        {"prefix below the cap",
+         header(kCap - 1) + body.substr(0, kCap - 1),
+         {FrameStatus::Ok, FrameStatus::Eof}},
+        {"prefix above the cap", header(kCap + 1) + body,
+         {FrameStatus::TooLarge}},
+        {"largest prefix", header(0xffffffffu), {FrameStatus::TooLarge}},
+    };
+    for (const Case &c : cases) {
+        std::vector<Frame> frames = readFrames(c.wire, kCap);
+        std::vector<FrameStatus> statuses;
+        for (const Frame &frame : frames)
+            statuses.push_back(frame.status);
+        EXPECT_EQ(statuses, c.statuses)
+            << c.what << ": " << describe(frames);
+        EXPECT_EQ(frames, referenceFrames(c.wire, kCap)) << c.what;
+    }
+    std::vector<Frame> frames = readFrames(header(3) + "abcdef", kCap);
+    EXPECT_EQ(frames.front().payload, "abc");
+
+    // The daemon's own request cap, either side.
+    const std::string request(serve::kMaxRequestBytes, 'r');
+    EXPECT_EQ(readFrames(header(serve::kMaxRequestBytes) + request,
+                         serve::kMaxRequestBytes)
+                  .front()
+                  .payload,
+              request);
+    EXPECT_EQ(
+        readFrames(header(serve::kMaxRequestBytes + 1) + request + "r",
+                   serve::kMaxRequestBytes)
+            .front()
+            .status,
+        FrameStatus::TooLarge);
+}
+
+// Seeded streams of frames with lying prefixes, cut at random points,
+// must read exactly as the reference parser reads the same bytes.
+TEST(FrameFuzz, RandomStreamsMatchTheReferenceParser)
+{
+    constexpr std::size_t kCap = 512;
+    constexpr int kStreams = 1500;
+    stats::Rng rng(20180224);
+    std::size_t by_status[5] = {};
+    for (int i = 0; i < kStreams; ++i) {
+        std::string wire;
+        for (std::uint64_t f = rng.below(4); f > 0; --f) {
+            std::uint32_t length = static_cast<std::uint32_t>(
+                rng.below(4) == 0 ? rng.below(kCap + 64) : rng.below(40));
+            std::uint32_t declared = length;
+            switch (rng.below(6)) {
+              case 0: declared = length + 1 + rng.below(16); break;
+              case 1: declared = length - std::min<std::uint32_t>(
+                                              length, 1 + rng.below(16));
+                      break;
+              case 2:
+                declared = static_cast<std::uint32_t>(rng.next());
+                break;
+              default: break;
+            }
+            wire += header(declared);
+            for (std::uint32_t b = 0; b < length; ++b)
+                wire += static_cast<char>(rng.below(256));
+        }
+        if (rng.below(3) == 0)
+            wire.resize(rng.below(wire.size() + 1));
+        const std::vector<Frame> expected = referenceFrames(wire, kCap);
+        const std::vector<Frame> frames = readFrames(wire, kCap);
+        ASSERT_EQ(frames, expected)
+            << "stream " << i << ": got " << describe(frames)
+            << "expected " << describe(expected);
+        for (const Frame &frame : frames)
+            ++by_status[static_cast<int>(frame.status)];
+    }
+    // Every status but Timeout (no timeout is set) must be reached.
+    using serve::FrameStatus;
+    EXPECT_GT(by_status[static_cast<int>(FrameStatus::Ok)], 0u);
+    EXPECT_GT(by_status[static_cast<int>(FrameStatus::Eof)], 0u);
+    EXPECT_GT(by_status[static_cast<int>(FrameStatus::Error)], 0u);
+    EXPECT_GT(by_status[static_cast<int>(FrameStatus::TooLarge)], 0u);
+}
+
+// A 1 MiB frame through a small send buffer, with signals interrupting
+// the writer so sendmsg() returns short counts, arrives intact.
+TEST(FrameFuzz, PartialWritesDeliverTheWholeFrame)
+{
+    struct sigaction quiet{}, previous{};
+    quiet.sa_handler = [](int) {};
+    sigemptyset(&quiet.sa_mask);
+    quiet.sa_flags = 0; // no SA_RESTART: interrupted calls return early
+    ASSERT_EQ(::sigaction(SIGUSR1, &quiet, &previous), 0);
+
+    int fds[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    int small = 4096;
+    ::setsockopt(fds[1], SOL_SOCKET, SO_SNDBUF, &small, sizeof(small));
+
+    std::string sent(1u << 20, '\0');
+    stats::Rng rng(1);
+    for (char &c : sent)
+        c = static_cast<char>(rng.below(256));
+
+    std::atomic<bool> written{false};
+    bool ok = false;
+    std::thread writer([&]() {
+        ok = serve::writeFrame(fds[1], sent);
+        written.store(true);
+    });
+    std::string received;
+    std::thread reader([&]() {
+        EXPECT_EQ(
+            serve::readFrame(fds[0], received, serve::kMaxFrameBytes),
+            serve::FrameStatus::Ok);
+    });
+    while (!written.load()) {
+        ::pthread_kill(writer.native_handle(), SIGUSR1);
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    writer.join();
+    reader.join();
+    ::close(fds[0]);
+    ::close(fds[1]);
+    ::sigaction(SIGUSR1, &previous, nullptr);
+
+    EXPECT_TRUE(ok);
+    EXPECT_TRUE(received == sent) << "received " << received.size()
+                                  << " bytes of " << sent.size();
+}

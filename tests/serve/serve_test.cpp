@@ -9,18 +9,33 @@
  * exactly one simulation, the wire protocol round-trips hostile
  * strings, daemon responses are byte-identical to direct query-op
  * rendering, a warm store answers queries with zero simulations, and
- * a graceful drain drops nothing.
+ * a graceful drain drops nothing.  The transport tests bound what a
+ * connection costs: round trips on a persistent connection wait on no
+ * TCP timer, thousands of connections leave threads and address space
+ * flat, and the connection cap, the idle timeout and fd exhaustion each
+ * leave the daemon serving.
  */
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <fcntl.h>
+#include <netinet/in.h>
+#include <sys/resource.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/artifact_store.h"
@@ -95,6 +110,97 @@ std::thread
 serveOnThread(serve::Server &server)
 {
     return std::thread([&server]() { server.serveForever(); });
+}
+
+/** The number after @p key ("Threads:", "VmSize:") in
+ *  /proc/self/status. */
+long
+procStatus(const std::string &key)
+{
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line))
+        if (line.rfind(key, 0) == 0)
+            return std::stol(line.substr(key.size()));
+    return -1;
+}
+
+serve::Request
+statsRequest()
+{
+    serve::Request request;
+    request.op = serve::Op::Stats;
+    return request;
+}
+
+/** One stats call on a new connection; true when it was answered ok. */
+bool
+statsOnNewConnection(std::uint16_t port, std::string *error)
+{
+    serve::Client client;
+    serve::Response response;
+    return client.connect("127.0.0.1", port, error) &&
+           client.call(statsRequest(), &response, error) && response.ok;
+}
+
+/**
+ * A started server whose accept loop runs on its own thread.  The
+ * destructor drains it, so a failed assertion never leaves the loop
+ * running.
+ */
+class Daemon
+{
+  public:
+    explicit Daemon(serve::ServerConfig config) : server(std::move(config))
+    {
+        std::string error;
+        if (!server.start(&error))
+            throw std::runtime_error("server start: " + error);
+        loop_ = std::thread([this]() { server.serveForever(); });
+    }
+
+    ~Daemon() { drain(); }
+
+    Daemon(const Daemon &) = delete;
+    Daemon &operator=(const Daemon &) = delete;
+
+    /** Drain and wait for the accept loop to return. */
+    void
+    drain()
+    {
+        server.requestDrain();
+        if (loop_.joinable())
+            loop_.join();
+    }
+
+    serve::Server server;
+
+  private:
+    std::thread loop_;
+};
+
+/** A daemon config at the tiny window. */
+serve::ServerConfig
+tinyServerConfig()
+{
+    serve::ServerConfig config;
+    config.service = tinyServiceConfig();
+    return config;
+}
+
+/** Poll @p done every 5 ms for up to @p limit; its last value. */
+template <typename Predicate>
+bool
+waitFor(Predicate done,
+        std::chrono::milliseconds limit = std::chrono::milliseconds(3000))
+{
+    auto deadline = std::chrono::steady_clock::now() + limit;
+    while (!done()) {
+        if (std::chrono::steady_clock::now() > deadline)
+            return done();
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    return true;
 }
 
 } // namespace
@@ -540,4 +646,215 @@ TEST(Serve, ShutdownOpDrainsGracefullyWithIdleConnections)
     // The drained server no longer accepts.
     serve::Client late;
     EXPECT_FALSE(late.connect("127.0.0.1", server.port(), &error));
+}
+
+// One write per frame and TCP_NODELAY: a persistent connection's round
+// trip waits on the work.  A payload written apart from its header
+// waits under Nagle for the peer's delayed ACK, about 40 ms each way.
+TEST(ServeTransport, PersistentConnectionRoundTripsWaitOnNoTimer)
+{
+    Daemon daemon(tinyServerConfig());
+    serve::Client client;
+    std::string error;
+    ASSERT_TRUE(
+        client.connect("127.0.0.1", daemon.server.port(), &error));
+    auto start = std::chrono::steady_clock::now();
+    for (int i = 0; i < 50; ++i) {
+        serve::Response response;
+        ASSERT_TRUE(client.call(statsRequest(), &response, &error))
+            << error;
+        ASSERT_TRUE(response.ok);
+    }
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::seconds(1));
+}
+
+// Connections opened one after another are served by the fixed pool:
+// threads stay at the pool's size and address space does not grow with
+// the connection count, as it would with a stack kept per connection.
+TEST(ServeTransport, SequentialConnectionsKeepThreadsAndMemoryBounded)
+{
+    const long threads_before = procStatus("Threads:");
+    const serve::ServerConfig config = tinyServerConfig();
+    Daemon daemon(config);
+    const std::uint16_t port = daemon.server.port();
+    std::string error;
+
+    // Warm-up: max_connections clients open at once occupy every
+    // worker, so each worker's allocator arena is mapped before the
+    // baseline.
+    {
+        std::vector<serve::Client> clients(config.max_connections);
+        for (serve::Client &client : clients) {
+            serve::Response response;
+            ASSERT_TRUE(client.connect("127.0.0.1", port, &error));
+            ASSERT_TRUE(client.call(statsRequest(), &response, &error))
+                << error;
+            ASSERT_TRUE(response.ok) << response.error;
+        }
+    }
+    ASSERT_TRUE(
+        waitFor([&]() { return daemon.server.stats().live == 0; }));
+    const long vmsize_before_kb = procStatus("VmSize:");
+
+    long threads_max = 0;
+    for (int i = 0; i < 5000; ++i) {
+        ASSERT_TRUE(statsOnNewConnection(port, &error))
+            << "connection " << i << ": " << error;
+        if (i % 250 == 0)
+            threads_max = std::max(threads_max, procStatus("Threads:"));
+    }
+    threads_max = std::max(threads_max, procStatus("Threads:"));
+    const long vmsize_growth_kb = procStatus("VmSize:") - vmsize_before_kb;
+
+    EXPECT_LE(threads_max, threads_before +
+                               static_cast<long>(config.max_connections) +
+                               4);
+    EXPECT_LT(vmsize_growth_kb, 64 * 1024);
+    daemon.drain();
+    EXPECT_EQ(daemon.server.stats().dropped, 0u);
+    EXPECT_EQ(daemon.server.stats().busy, 0u);
+}
+
+// At the cap a new connection gets one busy reply and is closed; once
+// a live connection closes, the next client is served.
+TEST(ServeTransport, ConnectionCapAnswersBusyThenAdmitsAgain)
+{
+    serve::ServerConfig config = tinyServerConfig();
+    config.max_connections = 2;
+    Daemon daemon(config);
+    const std::uint16_t port = daemon.server.port();
+    std::string error;
+
+    serve::Client idle[2];
+    serve::Response response;
+    for (serve::Client &client : idle) {
+        ASSERT_TRUE(client.connect("127.0.0.1", port, &error));
+        ASSERT_TRUE(client.call(statsRequest(), &response, &error))
+            << error;
+    }
+
+    serve::Client third;
+    ASSERT_TRUE(third.connect("127.0.0.1", port, &error));
+    ASSERT_TRUE(third.call(statsRequest(), &response, &error)) << error;
+    EXPECT_FALSE(response.ok);
+    EXPECT_EQ(response.error.rfind("server busy: ", 0), 0u)
+        << response.error;
+    EXPECT_EQ(daemon.server.stats().busy, 1u);
+
+    // The slot frees once the worker has read the EOF.
+    idle[0].close();
+    ASSERT_TRUE(
+        waitFor([&]() { return daemon.server.stats().live == 1; }));
+    EXPECT_TRUE(statsOnNewConnection(port, &error)) << error;
+    daemon.drain();
+    EXPECT_EQ(daemon.server.stats().busy, 1u);
+    EXPECT_EQ(daemon.server.stats().dropped, 0u);
+}
+
+// An idle connection is closed at the idle timeout, counted as idle
+// and not as dropped, and a drain with an idle client returns at once.
+TEST(ServeTransport, IdleTimeoutClosesIdleClientsAndDrainIsPrompt)
+{
+    serve::ServerConfig config = tinyServerConfig();
+    config.idle_timeout_ms = 200;
+    Daemon daemon(config);
+    const std::uint16_t port = daemon.server.port();
+    std::string error;
+
+    serve::Client idle;
+    serve::Response response;
+    ASSERT_TRUE(idle.connect("127.0.0.1", port, &error));
+    ASSERT_TRUE(idle.call(statsRequest(), &response, &error)) << error;
+    auto start = std::chrono::steady_clock::now();
+    ASSERT_TRUE(waitFor(
+        [&]() { return daemon.server.stats().idle_closed == 1; }));
+    EXPECT_GE(std::chrono::steady_clock::now() - start,
+              std::chrono::milliseconds(150));
+    EXPECT_EQ(daemon.server.stats().live, 0u);
+    EXPECT_FALSE(idle.call(statsRequest(), &response, &error));
+
+    serve::Client parked;
+    ASSERT_TRUE(parked.connect("127.0.0.1", port, &error));
+    ASSERT_TRUE(parked.call(statsRequest(), &response, &error)) << error;
+    start = std::chrono::steady_clock::now();
+    daemon.drain();
+    EXPECT_LT(std::chrono::steady_clock::now() - start,
+              std::chrono::seconds(1));
+    EXPECT_EQ(daemon.server.stats().dropped, 0u);
+}
+
+// Out of file descriptors, accept() fails with EMFILE; the loop backs
+// off and retries instead of draining, and answers the waiting client
+// once descriptors are available again.
+TEST(ServeTransport, AcceptRetriesThroughFdExhaustion)
+{
+    Daemon daemon(tinyServerConfig());
+    const std::uint16_t port = daemon.server.port();
+    std::string error;
+    ASSERT_TRUE(statsOnNewConnection(port, &error)) << error;
+    // The daemon's end of that connection must be closed first, or its
+    // descriptor frees up under the lowered limit.
+    ASSERT_TRUE(
+        waitFor([&]() { return daemon.server.stats().live == 0; }));
+
+    // The client socket exists before the limit drops to the lowest
+    // free descriptor, so only the daemon's accept() runs out.
+    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    int lowest_free = ::fcntl(fd, F_DUPFD, 0);
+    ASSERT_GE(lowest_free, 0);
+    ::close(lowest_free);
+    rlimit saved{};
+    ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+    rlimit low = saved;
+    low.rlim_cur = static_cast<rlim_t>(lowest_free);
+    ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &low), 0);
+
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+    const bool connected =
+        ::connect(fd, reinterpret_cast<sockaddr *>(&addr),
+                  sizeof(addr)) == 0;
+    const bool retried = waitFor(
+        [&]() { return daemon.server.stats().accept_retries >= 2; });
+    ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+    ASSERT_TRUE(connected);
+    EXPECT_TRUE(retried);
+    EXPECT_FALSE(daemon.server.draining());
+
+    std::string payload;
+    ASSERT_TRUE(
+        serve::writeFrame(fd, serve::encodeRequest(statsRequest())));
+    ASSERT_EQ(serve::readFrame(fd, payload), serve::FrameStatus::Ok);
+    serve::Response response;
+    ASSERT_TRUE(serve::decodeResponse(payload, response, error)) << error;
+    EXPECT_TRUE(response.ok);
+    ::close(fd);
+    EXPECT_TRUE(statsOnNewConnection(port, &error)) << error;
+}
+
+// Requests are capped far below the 16 MiB response limit: a 70 KiB
+// request is refused with an error and its connection closed, and the
+// daemon goes on serving other connections.
+TEST(ServeTransport, OversizeRequestIsRefusedAndDaemonKeepsServing)
+{
+    Daemon daemon(tinyServerConfig());
+    std::string error;
+    serve::Client client;
+    ASSERT_TRUE(
+        client.connect("127.0.0.1", daemon.server.port(), &error));
+    serve::Request request;
+    request.op = serve::Op::Sensitivity;
+    request.metric = std::string(70 << 10, 'm');
+    serve::Response response;
+    ASSERT_TRUE(client.call(request, &response, &error)) << error;
+    EXPECT_FALSE(response.ok);
+    EXPECT_EQ(response.error, "request frame too large");
+    EXPECT_TRUE(statsOnNewConnection(daemon.server.port(), &error))
+        << error;
+    daemon.drain();
+    EXPECT_EQ(daemon.server.stats().errors, 1u);
 }

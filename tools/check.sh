@@ -203,13 +203,16 @@ echo "metrics on: stdout unchanged, metrics exported, manifest valid"
 
 step "serve smoke"
 # The daemon must answer byte-for-byte what the batch CLI prints for
-# the same question, then drain cleanly on the shutdown op; the
+# the same question, keep its threads and address space bounded across
+# 300 connections, then drain cleanly on the shutdown op; the
 # loadtest must hold response parity across concurrent clients and
 # leave a well-formed JSON artifact.
 SERVE_STORE="$BUILD_DIR/serve-store"
 rm -rf "$SERVE_STORE"
+# --jobs 2 fixes the analysis pool's size, so the thread bound below
+# (main + 32 connection workers + 2) does not depend on the host.
 "$BUILD_DIR"/tools/speclens serve --port 0 --store "$SERVE_STORE" \
-    --instructions 5000 --warmup 1500 \
+    --instructions 5000 --warmup 1500 --jobs 2 \
     >"$BUILD_DIR/serve.out" 2>"$BUILD_DIR/serve.err" &
 SERVE_PID=$!
 for _ in $(seq 1 100); do
@@ -232,6 +235,26 @@ cmp "$BUILD_DIR/serve-query.out" "$BUILD_DIR/serve-batch.out"
     --instructions 5000 --warmup 1500 519.lbm_r \
     >"$BUILD_DIR/memory-batch.out"
 cmp "$BUILD_DIR/serve-memory.out" "$BUILD_DIR/memory-batch.out"
+# Connections are served by a fixed pool: 300 of them, one after
+# another, must leave the daemon's threads and address space bounded.
+# 100 connections first let every worker map its allocator arena; a
+# thread stack kept per connection would then add 8 MB each.
+serve_stats() {
+    for _ in $(seq 1 "$1"); do
+        "$BUILD_DIR"/tools/speclens query --port "$SERVE_PORT" stats \
+            >"$BUILD_DIR/serve-stats.out"
+    done
+}
+serve_status() { awk -v key="$1" '$1 == key {print $2}' "/proc/$SERVE_PID/status"; }
+serve_stats 100
+SERVE_VMSIZE_KB="$(serve_status VmSize:)"
+serve_stats 300
+grep -q '^connections: live=' "$BUILD_DIR/serve-stats.out"
+SERVE_THREADS="$(serve_status Threads:)"
+SERVE_VMSIZE_GROWTH_KB=$(($(serve_status VmSize:) - SERVE_VMSIZE_KB))
+echo "serve: $SERVE_THREADS threads, VmSize +$SERVE_VMSIZE_GROWTH_KB kB after 300 connections"
+[[ "$SERVE_THREADS" -le 40 ]]
+[[ "$SERVE_VMSIZE_GROWTH_KB" -lt $((256 * 1024)) ]]
 "$BUILD_DIR"/tools/speclens query --port "$SERVE_PORT" shutdown \
     >/dev/null
 wait "$SERVE_PID"

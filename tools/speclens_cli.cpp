@@ -453,9 +453,12 @@ cmdCampaignManifest(const CliOptions &opts)
                      defect.c_str());
     if (!defects.empty())
         return 1;
-    std::printf("manifest %s: well-formed JSON, schema v1 keys "
-                "present (%zu bytes)\n",
-                path.c_str(), text.size());
+    // The size varies with the timing spans inside: stderr, so stdout
+    // stays the same for the same campaign.
+    std::printf("manifest %s: well-formed JSON, schema v1 keys present\n",
+                path.c_str());
+    std::fprintf(stderr, "manifest %s: %zu bytes\n", path.c_str(),
+                 text.size());
     return 0;
 }
 
@@ -543,8 +546,9 @@ cmdServe(const CliOptions &opts)
     serve::ServerStats stats = server.stats();
     std::fprintf(stderr,
                  "[speclens-serve] drained requests=%zu errors=%zu "
-                 "dropped=%zu\n",
-                 stats.requests, stats.errors, stats.dropped);
+                 "dropped=%zu busy=%zu idle_closed=%zu\n",
+                 stats.requests, stats.errors, stats.dropped, stats.busy,
+                 stats.idle_closed);
     return 0;
 }
 
