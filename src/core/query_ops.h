@@ -66,7 +66,9 @@ QueryOutcome runCharacterizeQuery(ServiceContext &context,
 /**
  * Subset analysis for one CPU2017 @p category: dendrogram, the
  * @p k representatives and score-prediction accuracy.  Rejects unknown
- * categories and k outside [1, suite size].
+ * categories and k outside [1, suite size].  The PCA and clustering
+ * come from ServiceContext::subsetAnalysis(), so only the first query
+ * per category pays for them.
  */
 QueryOutcome runSubsetQuery(ServiceContext &context,
                             const std::string &category, std::size_t k);

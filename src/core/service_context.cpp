@@ -6,6 +6,7 @@
 #include "service_context.h"
 
 #include <cstdio>
+#include <stdexcept>
 #include <utility>
 
 #include "obs/manifest.h"
@@ -156,6 +157,38 @@ ServiceContext::characterizerFor(
     }
     return *characterizers_.emplace(key, std::move(characterizer))
                 .first->second;
+}
+
+const SimilarityResult &
+ServiceContext::subsetAnalysis(suites::Category category)
+{
+    static obs::Counter &hits = obs::Registry::global().counter(
+        "core.query.subset_analysis.hits");
+    static obs::Counter &misses = obs::Registry::global().counter(
+        "core.query.subset_analysis.misses");
+
+    if (!suites::isCpu2017Category(category))
+        throw std::invalid_argument(
+            "subsetAnalysis: not a CPU2017 sub-suite: " +
+            suites::categoryName(category));
+    static_assert(static_cast<int>(suites::Category::SpeedInt) == 0 &&
+                      static_cast<int>(suites::Category::RateFp) == 3,
+                  "the CPU2017 sub-suites index the four memo slots");
+    AnalysisSlot &slot =
+        subset_analyses_[static_cast<std::size_t>(category)];
+    std::lock_guard<std::mutex> lock(slot.mutex);
+    if (slot.result) {
+        hits.add();
+        return *slot.result;
+    }
+    misses.add();
+    std::vector<suites::BenchmarkInfo> suite =
+        suites::filterByCategory(cpu2017_, category);
+    slot.result = std::make_unique<const SimilarityResult>(
+        analyzeSimilarity(
+            characterizerFor(profiling_machines_).featureMatrix(suite),
+            suites::benchmarkNames(suite)));
+    return *slot.result;
 }
 
 ThreadPool &

@@ -15,6 +15,10 @@
  *    set so every request against the same machines shares one memo
  *    cache and one in-flight dedup map.
  *
+ *    It also memoizes the similarity analysis (PCA + clustering) of
+ *    each CPU2017 sub-suite, the k-independent part of a `subset`
+ *    query (subsetAnalysis()).
+ *
  *  - AnalysisSession (analysis_session.h) is per request: a cheap
  *    borrow of a context plus the machine set the request runs on.
  *    Constructing one allocates nothing but a shared_ptr copy.
@@ -28,14 +32,16 @@
  * batch run stay comparable across the refactor.
  *
  * Thread safety: the registry is immutable after construction;
- * characterizerFor() and workerPool() are guarded by one mutex (the
- * returned references stay valid for the context's lifetime); the
- * store and Characterizers are internally thread-safe.
+ * characterizerFor() and workerPool() are guarded by one mutex, each
+ * subsetAnalysis() slot by its own (the returned references stay valid
+ * for the context's lifetime); the store and Characterizers are
+ * internally thread-safe.
  */
 
 #ifndef SPECLENS_CORE_SERVICE_CONTEXT_H
 #define SPECLENS_CORE_SERVICE_CONTEXT_H
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -46,6 +52,7 @@
 #include "core/artifact_store.h"
 #include "core/characterization.h"
 #include "core/parallel.h"
+#include "core/similarity.h"
 #include "suites/benchmark_info.h"
 #include "uarch/machine.h"
 
@@ -142,6 +149,20 @@ class ServiceContext
     Characterizer &
     characterizerFor(const std::vector<uarch::MachineConfig> &machines);
 
+    /**
+     * The similarity analysis of CPU2017 sub-suite @p category
+     * (SpeedInt / RateInt / SpeedFp / RateFp) over the profiling
+     * machines, computed on first use and kept for the context's
+     * lifetime.  It depends only on the feature matrix, which the
+     * window, seed and machine set fix, so it needs no invalidation;
+     * the four slots need no eviction.  Concurrent first calls for one
+     * category wait on a single computation; one that throws leaves
+     * the slot empty for the next caller.
+     *
+     * @throws std::invalid_argument for a non-CPU2017 category.
+     */
+    const SimilarityResult &subsetAnalysis(suites::Category category);
+
     /** The attached store; null when persistence is disabled. */
     CampaignStore *store() const { return store_.get(); }
 
@@ -204,6 +225,14 @@ class ServiceContext
     std::unique_ptr<ThreadPool> pool_;
     std::map<std::uint64_t, std::unique_ptr<Characterizer>>
         characterizers_;
+    /** subsetAnalysis() memo: one slot per CPU2017 sub-suite. */
+    struct AnalysisSlot
+    {
+        std::mutex mutex;
+        std::unique_ptr<const SimilarityResult> result;
+    };
+    std::array<AnalysisSlot, 4> subset_analyses_;
+
     /** Machine count of the primary (first-pooled) set, for the manifest. */
     std::size_t primary_machine_count_ = 0;
     std::string config_fingerprint_;

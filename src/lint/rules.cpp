@@ -32,6 +32,7 @@
 #include "suites/machines.h"
 #include "suites/spec2006.h"
 #include "suites/spec2017.h"
+#include "uarch/perf_counters.h"
 
 namespace speclens {
 namespace lint {
@@ -1279,42 +1280,6 @@ keyFromInfo(const core::StoreEntryInfo &info)
     return key;
 }
 
-/** Named access to every PerfCounters event field. */
-struct CounterField
-{
-    const char *name;
-    std::uint64_t uarch::PerfCounters::*field;
-};
-
-constexpr CounterField kCounterFields[] = {
-    {"instructions", &uarch::PerfCounters::instructions},
-    {"loads", &uarch::PerfCounters::loads},
-    {"stores", &uarch::PerfCounters::stores},
-    {"branches", &uarch::PerfCounters::branches},
-    {"taken_branches", &uarch::PerfCounters::taken_branches},
-    {"fp_ops", &uarch::PerfCounters::fp_ops},
-    {"simd_ops", &uarch::PerfCounters::simd_ops},
-    {"kernel_instructions", &uarch::PerfCounters::kernel_instructions},
-    {"l1d_accesses", &uarch::PerfCounters::l1d_accesses},
-    {"l1d_misses", &uarch::PerfCounters::l1d_misses},
-    {"l1i_accesses", &uarch::PerfCounters::l1i_accesses},
-    {"l1i_misses", &uarch::PerfCounters::l1i_misses},
-    {"l2d_accesses", &uarch::PerfCounters::l2d_accesses},
-    {"l2d_misses", &uarch::PerfCounters::l2d_misses},
-    {"l2i_accesses", &uarch::PerfCounters::l2i_accesses},
-    {"l2i_misses", &uarch::PerfCounters::l2i_misses},
-    {"l3_accesses", &uarch::PerfCounters::l3_accesses},
-    {"l3_misses", &uarch::PerfCounters::l3_misses},
-    {"dtlb_accesses", &uarch::PerfCounters::dtlb_accesses},
-    {"dtlb_misses", &uarch::PerfCounters::dtlb_misses},
-    {"itlb_accesses", &uarch::PerfCounters::itlb_accesses},
-    {"itlb_misses", &uarch::PerfCounters::itlb_misses},
-    {"l2tlb_misses", &uarch::PerfCounters::l2tlb_misses},
-    {"page_walks", &uarch::PerfCounters::page_walks},
-    {"branch_mispredictions",
-     &uarch::PerfCounters::branch_mispredictions},
-};
-
 class StoreResultAuditRule final : public RuleBase
 {
   public:
@@ -2176,7 +2141,7 @@ class StorePhasedConsistencyRule final : public RuleBase
             for (const uarch::SimulationResult &phase :
                  result.per_phase)
                 sum += phase.counters;
-            for (const CounterField &f : kCounterFields) {
+            for (const uarch::CounterField &f : uarch::kCounterFields) {
                 if (result.combined_counters.*(f.field) !=
                     sum.*(f.field)) {
                     error(out, loc,

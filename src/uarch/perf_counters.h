@@ -14,6 +14,7 @@
 #define SPECLENS_UARCH_PERF_COUNTERS_H
 
 #include <cstdint>
+#include <iterator>
 
 namespace speclens {
 namespace uarch {
@@ -182,6 +183,55 @@ struct PerfCounters
     /** Every event count equal. */
     bool operator==(const PerfCounters &) const = default;
 };
+
+/** Named access to one PerfCounters event field. */
+struct CounterField
+{
+    const char *name;
+    std::uint64_t PerfCounters::*field;
+};
+
+/** Every PerfCounters event field, in declaration order. */
+inline constexpr CounterField kCounterFields[] = {
+    {"instructions", &PerfCounters::instructions},
+    {"loads", &PerfCounters::loads},
+    {"stores", &PerfCounters::stores},
+    {"branches", &PerfCounters::branches},
+    {"taken_branches", &PerfCounters::taken_branches},
+    {"fp_ops", &PerfCounters::fp_ops},
+    {"simd_ops", &PerfCounters::simd_ops},
+    {"kernel_instructions", &PerfCounters::kernel_instructions},
+    {"l1d_accesses", &PerfCounters::l1d_accesses},
+    {"l1d_misses", &PerfCounters::l1d_misses},
+    {"l1i_accesses", &PerfCounters::l1i_accesses},
+    {"l1i_misses", &PerfCounters::l1i_misses},
+    {"l2d_accesses", &PerfCounters::l2d_accesses},
+    {"l2d_misses", &PerfCounters::l2d_misses},
+    {"l2i_accesses", &PerfCounters::l2i_accesses},
+    {"l2i_misses", &PerfCounters::l2i_misses},
+    {"l3_accesses", &PerfCounters::l3_accesses},
+    {"l3_misses", &PerfCounters::l3_misses},
+    {"dtlb_accesses", &PerfCounters::dtlb_accesses},
+    {"dtlb_misses", &PerfCounters::dtlb_misses},
+    {"itlb_accesses", &PerfCounters::itlb_accesses},
+    {"itlb_misses", &PerfCounters::itlb_misses},
+    {"l2tlb_misses", &PerfCounters::l2tlb_misses},
+    {"page_walks", &PerfCounters::page_walks},
+    {"branch_mispredictions", &PerfCounters::branch_mispredictions},
+    {"prefetch_fills", &PerfCounters::prefetch_fills},
+    {"prefetch_useful", &PerfCounters::prefetch_useful},
+    {"prefetch_evicted_unused", &PerfCounters::prefetch_evicted_unused},
+    {"way_pred_hits", &PerfCounters::way_pred_hits},
+    {"way_pred_mispredicts", &PerfCounters::way_pred_mispredicts},
+    {"dram_accesses", &PerfCounters::dram_accesses},
+    {"dram_row_hits", &PerfCounters::dram_row_hits},
+    {"dram_busy_cycles", &PerfCounters::dram_busy_cycles},
+    {"dram_budget_cycles", &PerfCounters::dram_budget_cycles},
+};
+
+static_assert(std::size(kCounterFields) ==
+                  sizeof(PerfCounters) / sizeof(std::uint64_t),
+              "kCounterFields must list every PerfCounters field");
 
 } // namespace uarch
 } // namespace speclens

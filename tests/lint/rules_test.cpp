@@ -737,6 +737,28 @@ TEST(Rules, SL024_StorePhasedConsistency)
     expectFires("SL024", context);
 }
 
+TEST(Rules, SL024_MemoryCentricCounterMustSumToo)
+{
+    TempDir dir("speclens_sl024_dram_test");
+    core::CampaignStore store(dir.path.string());
+    LintContext context = cleanContext();
+    context.store_dir = dir.path.string();
+    uarch::SimulationConfig window;
+    window.instructions = 2'000;
+    window.warmup = 500;
+
+    // A memory-centric counter is checked like every other field.
+    trace::PhasedWorkload workload = trace::derivePhases(
+        context.cpu2017[0].profile, 3, 0.35);
+    uarch::PhasedSimulationResult bad = uarch::simulatePhased(
+        workload, context.machines[0], window);
+    bad.combined_counters.dram_row_hits += 1;
+    store.savePhased(
+        core::makeStoreKey(workload, context.machines[0], window),
+        bad);
+    expectFires("SL024", context);
+}
+
 /** The `<16-hex>.slart` basename the store files @p key under. */
 std::string
 entryBaseName(const core::StoreKey &key)

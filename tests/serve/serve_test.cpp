@@ -565,6 +565,32 @@ TEST(Serve, RejectsUnknownBenchmarkButKeepsServing)
     EXPECT_EQ(server.stats().dropped, 0u);
 }
 
+// Repeated subset queries are answered from the daemon's memoized
+// analysis and still print what a batch context computes.
+TEST(Serve, RepeatedSubsetQueriesMatchBatchContext)
+{
+    core::ServiceContext batch(tinyServiceConfig());
+    core::QueryOutcome expected =
+        core::runSubsetQuery(batch, "speed-int", 3);
+    ASSERT_TRUE(expected.ok) << expected.error;
+
+    Daemon daemon(tinyServerConfig());
+    serve::Client client;
+    std::string error;
+    ASSERT_TRUE(client.connect("127.0.0.1", daemon.server.port(), &error))
+        << error;
+    serve::Request request;
+    request.op = serve::Op::Subset;
+    request.category = "speed-int";
+    request.k = 3;
+    for (int round = 0; round < 2; ++round) {
+        serve::Response response;
+        ASSERT_TRUE(client.call(request, &response, &error)) << error;
+        ASSERT_TRUE(response.ok) << response.error;
+        EXPECT_EQ(response.output, expected.output) << "round " << round;
+    }
+}
+
 // Warm-store acceptance criterion: a second daemon over a populated
 // store answers the same query byte-identically with ZERO simulations.
 TEST(Serve, WarmStoreQueryRunsZeroSimulations)

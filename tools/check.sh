@@ -235,6 +235,16 @@ cmp "$BUILD_DIR/serve-query.out" "$BUILD_DIR/serve-batch.out"
     --instructions 5000 --warmup 1500 519.lbm_r \
     >"$BUILD_DIR/memory-batch.out"
 cmp "$BUILD_DIR/serve-memory.out" "$BUILD_DIR/memory-batch.out"
+# The second subset query is answered from the daemon's memoized
+# analysis; both must match the batch CLI.
+"$BUILD_DIR"/tools/speclens subset \
+    --instructions 5000 --warmup 1500 speed-int 3 \
+    >"$BUILD_DIR/subset-batch.out"
+for round in 1 2; do
+    "$BUILD_DIR"/tools/speclens query --port "$SERVE_PORT" \
+        subset speed-int 3 >"$BUILD_DIR/serve-subset.out"
+    cmp "$BUILD_DIR/serve-subset.out" "$BUILD_DIR/subset-batch.out"
+done
 # Connections are served by a fixed pool: 300 of them, one after
 # another, must leave the daemon's threads and address space bounded.
 # 100 connections first let every worker map its allocator arena; a
